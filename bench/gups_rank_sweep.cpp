@@ -53,8 +53,7 @@ std::uint64_t table_checksum(g::table& t) {
 
 /// One rank of the re-exec'd `aspen-run` job: run eager GUPS on the
 /// requested conduit, then rank 0 writes
-/// "<mups> <cx_eager> <checksum> <agg_frames> <backend> <sendq_hw>"
-/// (readers tolerate rows that stop after the first four fields).
+/// "<mups> <cx_eager> <checksum> <agg_frames>".
 int run_net_child(const std::string& spec) {
   const std::size_t colon = spec.find(':');
   if (colon == std::string::npos) return 1;
@@ -84,15 +83,11 @@ int run_net_child(const std::string& spec) {
       };
       std::fprintf(
           stderr,
-          "[sweep r%d] progress=%llu bytes_tx=%llu partial=%llu "
-          "sqe=%llu cqe=%llu saved=%llu\n",
+          "[sweep r%d] progress=%llu bytes_tx=%llu partial=%llu\n",
           rank_n() >= 0 ? aspen::rank_me() : -1,
           g(telemetry::counter::progress_calls),
           g(telemetry::counter::net_bytes_sent),
-          g(telemetry::counter::net_partial_writes),
-          g(telemetry::counter::uring_sqe_submitted),
-          g(telemetry::counter::uring_cqe_reaped),
-          g(telemetry::counter::uring_syscalls_saved));
+          g(telemetry::counter::net_partial_writes));
     }
     const double secs =
         aspen::bench::summarize_best(std::move(samples), opt.keep).mean;
@@ -111,7 +106,7 @@ int run_net_child(const std::string& spec) {
     std::ofstream f(result);
     if (!f) return 1;
     f << mups << ' ' << cx_eager << ' ' << checksum << ' ' << agg_frames
-      << ' ' << ep->data_plane() << ' ' << ep->sendq_high_water() << '\n';
+      << '\n';
     if (!f) return 1;
   }
   return 0;
@@ -123,8 +118,6 @@ struct net_leg {
   std::uint64_t cx_eager = 0;
   std::uint64_t checksum = 0;
   std::uint64_t agg_frames = 0;
-  std::string backend = "?";     ///< rank 0's data plane ("poll"/"uring")
-  std::uint64_t sendq_hw = 0;    ///< rank 0's sendq high-water (bytes)
 };
 
 /// `tag` names the result file so legs that reuse a conduit under different
@@ -167,11 +160,6 @@ net_leg run_net_leg(const char* self_hint, const char* conduit, int nranks,
   std::ifstream f(result);
   f >> leg.mups >> leg.cx_eager >> leg.checksum >> leg.agg_frames;
   leg.ok = static_cast<bool>(f);
-  // Newer rows append the data plane + sendq high-water; absence is fine.
-  if (!(f >> leg.backend >> leg.sendq_hw)) {
-    leg.backend = "?";
-    leg.sendq_hw = 0;
-  }
   if (!leg.ok)
     std::cout << "conduit::" << conduit
               << " leg produced no result row, skipping.\n";
@@ -267,58 +255,6 @@ void run_agg_sweep(const char* self_hint, const aspen::bench::options& opt) {
                "into a few wire flushes beats one syscall per update.\n";
 }
 
-/// The ASPEN_BENCH_URING leg: eager GUPS on conduit::tcp (aggregation on)
-/// with the poll data plane vs the io_uring one (docs/URING.md). The uring
-/// plane must raise MUPS — one batched io_uring_enter per pump tick and
-/// multishot recv replace a send/recv syscall per peer interaction — while
-/// landing a bit-identical table. Before/after sendq high-water is reported
-/// so queue behavior differences are visible, not just throughput.
-void run_uring_sweep(const char* self_hint, const aspen::bench::options& opt) {
-  if (aspen::bench::env_size_t("ASPEN_BENCH_URING", 0) == 0) return;
-  const int nranks = std::min(std::max(opt.ranks, 4), 8);
-  std::cout << "\nreal-process GUPS, poll vs io_uring data plane (eager, "
-            << "agg on, " << nranks << " ranks via aspen-run):\n";
-  ::setenv("ASPEN_AGG", "1", 1);
-  ::setenv("ASPEN_NET_URING", "0", 1);
-  const net_leg poll = run_net_leg(self_hint, "tcp", nranks, "tcp_pollplane");
-  ::setenv("ASPEN_NET_URING", "1", 1);
-  const net_leg uring = run_net_leg(self_hint, "tcp", nranks, "tcp_uring");
-  ::unsetenv("ASPEN_NET_URING");
-  ::unsetenv("ASPEN_AGG");
-  if (!poll.ok || !uring.ok) return;
-
-  aspen::bench::table t({"leg", "data plane", "MUPS", "sendq high-water",
-                         "table checksum"});
-  auto add = [&](const char* name, const net_leg& leg) {
-    char m[32], c[32];
-    std::snprintf(m, sizeof m, "%.2f", leg.mups);
-    std::snprintf(c, sizeof c, "%016llx",
-                  static_cast<unsigned long long>(leg.checksum));
-    t.add_row({name, leg.backend, m, std::to_string(leg.sendq_hw), c});
-  };
-  add("tcp ASPEN_NET_URING=0", poll);
-  add("tcp ASPEN_NET_URING=1", uring);
-  t.print(std::cout);
-
-  std::cout << "uring vs poll MUPS: "
-            << aspen::bench::format_speedup(uring.mups / poll.mups) << "\n";
-  std::cout << (uring.checksum == poll.checksum
-                    ? "table checksums bit-identical across data planes\n"
-                    : "WARNING: table checksum diverged between uring and "
-                      "poll\n");
-  if (uring.backend == "uring")
-    std::cout << "data plane engaged: uring\n";
-  else
-    std::cout << "note: uring leg degraded to the " << uring.backend
-              << " backend (old kernel or seccomp?); rows compare poll "
-                 "against poll.\n";
-  std::cout << "expectation: batched SQE submission and multishot recv "
-               "replace per-peer send/recv syscalls at equal wire "
-               "semantics; the MUPS gain tracks the host's kernel-time "
-               "share and is small on cores oversubscribed by ranks "
-               "(docs/URING.md, \"Measured performance\").\n";
-}
-
 }  // namespace
 
 int main(int, char** argv) {
@@ -389,6 +325,5 @@ int main(int, char** argv) {
 
   run_net_sweep(argv[0], opt);
   run_agg_sweep(argv[0], opt);
-  run_uring_sweep(argv[0], opt);
   return 0;
 }

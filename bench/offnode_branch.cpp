@@ -367,37 +367,6 @@ int main(int, char** argv) {
     }
   }
 
-  // Optional io_uring leg (docs/URING.md): the same tcp process run with
-  // the uring data plane. Like aggregation this workload is latency-bound,
-  // so the claim is conservative: swapping the socket backend must not
-  // disturb single-op round trips (the uring pump reaps completions in
-  // memory and parks in GETEVENTS, so the wire semantics and latency match
-  // poll). The counters prove which plane actually ran.
-  if (have_tcp && aspen::bench::env_size_t("ASPEN_BENCH_URING", 0) != 0) {
-    ::setenv("ASPEN_NET_URING", "1", 1);
-    std::cout << "\nre-running the tcp leg with ASPEN_NET_URING=1 (io_uring "
-                 "data plane):\n";
-    telemetry::snapshot uring_merged{};
-    const bool have_uring = run_net_leg(argv[0], /*shm=*/false, &uring_merged);
-    ::unsetenv("ASPEN_NET_URING");
-    if (have_uring && telemetry::compiled_in()) {
-      using c = telemetry::counter;
-      const std::uint64_t sqes = uring_merged.get(c::uring_sqe_submitted);
-      std::cout << "uring telemetry (merged): uring_sqe_submitted=" << sqes
-                << " uring_cqe_reaped=" << uring_merged.get(c::uring_cqe_reaped)
-                << " uring_syscalls_saved="
-                << uring_merged.get(c::uring_syscalls_saved)
-                << " uring_multishot_requeues="
-                << uring_merged.get(c::uring_multishot_requeues) << "\n";
-      std::cout << (sqes > 0
-                        ? "expectation: eager vs defer and absolute latency "
-                          "match the poll leg — the data plane changes how "
-                          "bytes cross the kernel, never what they mean.\n"
-                        : "note: uring_sqe_submitted == 0 — the job degraded "
-                          "to the poll backend (old kernel or seccomp?).\n");
-    }
-  }
-
   // The paper's cross-process claim in one line: the same 2-process
   // workload flips its cross-rank completions from fully deferred (tcp:
   // cx_eager_taken == 0) to overwhelmingly eager (shm maps the peer).

@@ -99,29 +99,6 @@
 //                          latency-parity re-run in offnode_branch)
 //                          (default 0)
 //
-// io_uring data plane (aspen::uring; see docs/URING.md). Read by the same
-// net::apply_env pass at every region entry:
-//   ASPEN_NET_URING        non-zero selects the io_uring socket data plane
-//                          for the endpoint mesh: batched SQE sends (one
-//                          io_uring_enter per pump tick), multishot recv
-//                          from a registered buffer ring, fixed-buffer
-//                          rendezvous DATA sends, and idle parking inside
-//                          io_uring_enter(GETEVENTS). Any setup failure
-//                          (old kernel, seccomp) silently degrades to the
-//                          portable poll(2) plane with identical wire
-//                          semantics (default 0 = poll)
-//   ASPEN_URING_SQ_DEPTH   submission-queue depth in entries; the CQ is
-//                          sized 8x (default 256, clamped to [8, 4096])
-//   ASPEN_URING_BUFRING_BYTES  total provided-buffer-ring memory feeding
-//                          multishot recv, split into 32 KiB chunks and
-//                          rounded to a power-of-two chunk count
-//                          (default 2 MiB, clamped to [64 KiB, 64 MiB])
-//   ASPEN_BENCH_URING      gups_rank_sweep / offnode_branch only: non-zero
-//                          adds the uring-vs-poll legs (agg-on MUPS ratio
-//                          plus checksum bit-identity in the sweep; the
-//                          uring counter report in offnode_branch)
-//                          (default 0)
-//
 // Live cross-process telemetry (see docs/TELEMETRY.md):
 //   ASPEN_TELEMETRY_INTERVAL_MS  non-zero ranks push delta-encoded counter
 //                          updates to rank 0 every this-many ms, plus one

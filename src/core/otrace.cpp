@@ -69,7 +69,10 @@ struct slot {
 
 struct ot_state {
   std::mutex mu;
-  bool configured = false;
+  /// Set (release) under mu once sample_n, ring and mask are published, so
+  /// the unlocked fast path in sample_n() can trust what it reads after an
+  /// acquire load.
+  std::atomic<bool> configured{false};
   std::string base = "aspen";
   std::atomic<std::uint32_t> sample_n{0};
   std::atomic<slot*> ring{nullptr};
@@ -173,10 +176,11 @@ std::uint32_t parse_sample(const char* v) noexcept {
 
 void apply_config_locked(ot_state& s, std::uint32_t sample,
                          std::uint64_t ring_bytes) {
-  s.configured = true;
   s.sample_n.store(sample, std::memory_order_relaxed);
-  if (sample == 0 || s.ring.load(std::memory_order_relaxed) != nullptr)
+  if (sample == 0 || s.ring.load(std::memory_order_relaxed) != nullptr) {
+    s.configured.store(true, std::memory_order_release);
     return;
+  }
   if (ring_bytes < (std::uint64_t{4} << 10)) ring_bytes = std::uint64_t{4} << 10;
   if (ring_bytes > (std::uint64_t{1} << 30)) ring_bytes = std::uint64_t{1} << 30;
   std::uint64_t cap = ring_bytes / sizeof(slot);
@@ -189,10 +193,11 @@ void apply_config_locked(ot_state& s, std::uint32_t sample,
   s.mask.store(cap - 1, std::memory_order_relaxed);
   s.ring.store(ring, std::memory_order_release);
   render_dump_path_locked(s);
+  s.configured.store(true, std::memory_order_release);
 }
 
 void ensure_configured_locked(ot_state& s) {
-  if (s.configured) return;
+  if (s.configured.load(std::memory_order_relaxed)) return;
   const std::uint32_t sample =
       parse_sample(std::getenv("ASPEN_TRACE_SAMPLE"));
   const std::uint64_t ring_bytes =
@@ -368,7 +373,7 @@ bool enabled() noexcept { return sample_n() != 0; }
 
 std::uint32_t sample_n() noexcept {
   ot_state& s = st();
-  if (!s.configured) {
+  if (!s.configured.load(std::memory_order_acquire)) {
     std::lock_guard<std::mutex> lk(s.mu);
     ensure_configured_locked(s);
   }

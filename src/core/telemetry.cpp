@@ -72,11 +72,6 @@ constexpr const char* kCounterNames[] = {
     "agg_store_buckets_shipped",
     "agg_store_elems",
     "net_sendq_parked",
-    "uring_sqe_submitted",
-    "uring_sqe_batched",
-    "uring_cqe_reaped",
-    "uring_multishot_requeues",
-    "uring_syscalls_saved",
     "net_idle_unwatched",
     "otrace_sampled",
 };

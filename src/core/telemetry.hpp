@@ -149,15 +149,7 @@ enum class counter : std::size_t {
   agg_store_buckets_shipped,  ///< agg_store buckets shipped as one bulk AM
   agg_store_elems,            ///< elements pushed through agg_store buckets
   net_sendq_parked,      ///< sends parked on the ASPEN_NET_SENDQ_MAX bound
-
-  // io_uring data plane (aspen::uring, docs/URING.md): batched-submission
-  // socket I/O behind the endpoint's io_backend seam.
-  uring_sqe_submitted,       ///< SQEs handed to the kernel (send + recv arm)
-  uring_sqe_batched,         ///< SQEs that shared an io_uring_enter with others
-  uring_cqe_reaped,          ///< CQEs consumed from the completion ring
-  uring_multishot_requeues,  ///< multishot recv re-arms (F_MORE cleared)
-  uring_syscalls_saved,      ///< syscalls avoided vs the poll backend
-  net_idle_unwatched,        ///< peers left unwatched by one capped idle poll
+  net_idle_unwatched,    ///< peers left unwatched by one capped idle poll
 
   // Operation tracing (aspen::otrace, docs/OTRACE.md).
   otrace_sampled,  ///< injected ops that drew a sampled trace id

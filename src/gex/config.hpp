@@ -48,15 +48,13 @@ namespace aspen::gex {
 ///              mapped peers travel over lock-free SPSC rings in a shared
 ///              control segment; any peer that cannot be mapped (off-host,
 ///              memfd unavailable, ASPEN_SHM=0) transparently keeps the tcp
-///              socket path. `hybrid` is an alias for this per-peer
-///              shm-or-tcp selection.
+///              socket path.
 enum class conduit : std::uint8_t {
   smp,
   loopback,
   perturbed,
   tcp,
   shm,
-  hybrid = shm,
 };
 
 /// Locality model: which rank pairs are treated as sharing a node.
@@ -155,30 +153,6 @@ struct agg_config {
   std::uint64_t flush_us = 100;
 };
 
-/// Tunables of the io_uring data plane (`aspen::uring`, docs/URING.md) for
-/// the socket mesh. When enabled, the endpoint drives every peer socket
-/// through one io_uring: sends become batched SQEs (one io_uring_enter per
-/// pump tick instead of one send(2) per peer write), receives arrive via
-/// multishot recv into a registered buffer ring, rendezvous DATA payloads
-/// go out through registered fixed buffers, and idle parking waits in
-/// io_uring_enter(GETEVENTS) instead of poll(2). Detection is at runtime:
-/// if io_uring_setup (or any required registration) fails — old kernel,
-/// seccomp filter, RLIMIT_MEMLOCK — the endpoint silently degrades to the
-/// portable poll(2) backend with identical wire semantics.
-struct uring_config {
-  /// Master switch; the default is the portable poll(2) backend.
-  /// Env: ASPEN_NET_URING (1 requests the uring data plane).
-  bool enabled = false;
-  /// Submission-queue depth (entries). The kernel clamps to its own limits
-  /// (IORING_SETUP_CLAMP); apply_env clamps to [8, 4096].
-  /// Env: ASPEN_URING_SQ_DEPTH.
-  unsigned sq_depth = 256;
-  /// Total bytes of the registered receive buffer ring, split into
-  /// fixed-size chunks handed to multishot recv. Clamped to
-  /// [64 KiB, 64 MiB]. Env: ASPEN_URING_BUFRING_BYTES.
-  std::size_t bufring_bytes = std::size_t{2} << 20;
-};
-
 /// Tunables of the `conduit::tcp` socket transport (src/net/). Each knob is
 /// overridable at run time through the ASPEN_NET_* environment family (see
 /// docs/NET.md) unless honor_env is cleared.
@@ -201,9 +175,6 @@ struct net_config {
   shm_config shm{};
   /// Small-message aggregation settings (both socket and shm channels).
   agg_config agg{};
-  /// io_uring data-plane settings (socket channel only; shm rings are
-  /// already syscall-free).
-  uring_config uring{};
   /// Cap on a peer's queued-but-unsent socket bytes (`peer::out`). An
   /// injector finding the queue over this bound parks (flush + yield, with
   /// a bounded spin so progress is always guaranteed) instead of growing it

@@ -29,7 +29,7 @@
 #include "gex/am.hpp"
 #include "gex/backend.hpp"
 #include "gex/config.hpp"
-#include "net/io_backend.hpp"
+#include "net/poll_plane.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
 #include "shm/ring.hpp"
@@ -47,8 +47,7 @@ inline constexpr const char* kEnvRdzvPort = "ASPEN_NET_RDZV_PORT";
 /// amount of work done, like aspen::progress().
 using progress_fn = std::function<std::size_t()>;
 
-class endpoint final : public gex::wire_transport,
-                       private io_backend::recv_sink {
+class endpoint final : public gex::wire_transport {
  public:
   /// True when this process was launched by `aspen-run` (bootstrap env
   /// present).
@@ -83,16 +82,13 @@ class endpoint final : public gex::wire_transport,
   [[nodiscard]] bool has_pending() const noexcept override;
   void idle_wait() noexcept override;
 
-  /// The active socket data plane ("uring" or "poll"; docs/URING.md).
-  [[nodiscard]] const char* data_plane() const noexcept {
-    return io_->name();
-  }
-  /// Why the poll backend is in use ("" while the uring plane is active).
-  [[nodiscard]] const std::string& data_plane_reason() const noexcept {
-    return io_reason_;
-  }
+  /// The socket data plane's name (always the poll plane).
+  [[nodiscard]] const char* data_plane() const noexcept { return "poll"; }
 
-  /// Largest per-peer send-queue depth (bytes) observed so far.
+  /// Largest unsent residue (bytes) any peer's send queue held right after
+  /// a flush: the bytes the kernel refused (EAGAIN), not the queue depth
+  /// before the flush. 0 while every flush drained completely, as on an
+  /// uncongested loopback mesh.
   [[nodiscard]] std::size_t sendq_high_water() const noexcept {
     return sendq_high_water_.load(std::memory_order_relaxed);
   }
@@ -200,8 +196,8 @@ class endpoint final : public gex::wire_transport,
     fd_handle sock;
     bool bye_seen = false;  ///< clean-shutdown marker received
     bool departed = false;  ///< clean bye + EOF seen
-    /// Stream EOF reported by the io_backend this pump tick; resolved
-    /// (clean departure vs. crash diagnostic) after the backend pump.
+    /// Stream EOF reported by the poll plane this pump tick; resolved
+    /// (clean departure vs. crash diagnostic) after the plane's pump.
     bool eof_pending = false;
     // ---- send side (any thread; guarded by mu) ----
     mutable std::mutex mu;
@@ -304,18 +300,17 @@ class endpoint final : public gex::wire_transport,
   /// (same seqs — the receiver's staged map re-merges the channels). mu
   /// held by caller.
   void shm_agg_flush_locked(peer& p, int target, telemetry::counter trigger);
-  /// Park the calling injector while the peer's socket queue (endpoint
-  /// residue + backend backlog) exceeds sendq_max_ (bounded spin: progress
-  /// is always guaranteed; the master thread pumps instead of spinning so
-  /// uring completions keep draining).
+  /// Park the calling injector while the peer's unsent socket bytes exceed
+  /// sendq_max_ (bounded spin: progress is always guaranteed; the master
+  /// thread pumps instead of spinning).
   void park_sendq(gex::runtime& rt, peer& p, int target);
-  /// io_backend::recv_sink — called from io_->pump() on the master thread:
-  /// feed the peer's incremental decoder / flag stream EOF. Must not take
-  /// peer send locks (lock order is peer.mu before the backend's).
-  void on_bytes(int rank, const void* data, std::size_t len) override;
-  void on_eof(int rank) override;
+  /// The poll plane's pump sink, called on the master thread: feed the
+  /// peer's incremental decoder / flag stream EOF.
+  friend class poll_plane;
+  void on_bytes(int rank, const void* data, std::size_t len);
+  void on_eof(int rank);
   /// Process decoded frames and resolve a pending EOF for one peer (the
-  /// post-io_backend half of the old pump_peer).
+  /// half of a pump tick that runs after the plane drained the sockets).
   std::size_t drain_peer(gex::runtime& rt, int rank);
   /// Drain the peer's inbound shm rings into the staged map.
   std::size_t pump_shm_peer(gex::runtime& rt, int rank);
@@ -329,9 +324,7 @@ class endpoint final : public gex::wire_transport,
   int nranks_;
   gex::net_config cfg_;
   std::vector<std::unique_ptr<peer>> peers_;  ///< [nranks_], self unused
-  /// The socket data plane (chosen once at bootstrap; docs/URING.md).
-  std::unique_ptr<io_backend> io_;
-  std::string io_reason_;  ///< why poll is in use ("" when uring is up)
+  poll_plane io_;  ///< the socket data plane
   std::thread::id master_tid_;  ///< the bootstrap/pump thread
   /// pump() reentrancy guard. Written by the master thread only; atomic
   /// because park_sendq() consults it from injector threads.

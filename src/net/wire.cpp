@@ -154,12 +154,6 @@ gex::net_config apply_env(gex::net_config cfg) {
     cfg.agg.flush_us = env_u64("ASPEN_AGG_FLUSH_US", cfg.agg.flush_us);
     cfg.sendq_max = static_cast<std::size_t>(
         env_u64("ASPEN_NET_SENDQ_MAX", cfg.sendq_max));
-    cfg.uring.enabled =
-        env_u64("ASPEN_NET_URING", cfg.uring.enabled ? 1 : 0) != 0;
-    cfg.uring.sq_depth = static_cast<unsigned>(
-        env_u64("ASPEN_URING_SQ_DEPTH", cfg.uring.sq_depth));
-    cfg.uring.bufring_bytes = static_cast<std::size_t>(
-        env_u64("ASPEN_URING_BUFRING_BYTES", cfg.uring.bufring_bytes));
   }
   if (cfg.eager_max > cfg.max_frame) cfg.eager_max = cfg.max_frame;
   // Normalize the aggregation watermarks: at least one full eager frame must
@@ -179,16 +173,6 @@ gex::net_config apply_env(gex::net_config cfg) {
         2 * sizeof(frame_header);
     if (cfg.sendq_max < floor_bytes) cfg.sendq_max = floor_bytes;
   }
-  // Normalize the uring knobs: the kernel clamps the SQ depth itself
-  // (IORING_SETUP_CLAMP) but a tiny ring would serialize the batcher and a
-  // huge one pins pages for nothing; the buffer ring must hold at least a
-  // couple of recv chunks.
-  if (cfg.uring.sq_depth < 8) cfg.uring.sq_depth = 8;
-  if (cfg.uring.sq_depth > 4096) cfg.uring.sq_depth = 4096;
-  if (cfg.uring.bufring_bytes < (std::size_t{64} << 10))
-    cfg.uring.bufring_bytes = std::size_t{64} << 10;
-  if (cfg.uring.bufring_bytes > (std::size_t{64} << 20))
-    cfg.uring.bufring_bytes = std::size_t{64} << 20;
   // Normalize the shm channel geometry: power-of-two rings, the inline
   // bound inherited from the socket eager_max unless overridden, and always
   // small enough that several inline records fit in a message ring.

@@ -27,7 +27,6 @@
 #include "core/telemetry_live.hpp"
 #include "net/endpoint.hpp"
 #include "shm/mapper.hpp"
-#include "uring/ring.hpp"
 
 namespace {
 
@@ -306,36 +305,6 @@ TEST(NetSpmd, EndpointPersistsAcrossRegions) {
       EXPECT_EQ(got, round + 1);
     });
   }
-}
-
-// Which socket data plane actually came up (docs/URING.md): uring exactly
-// when ASPEN_NET_URING=1 and the kernel probe passes (the probe honors the
-// ASPEN_URING_TEST_SETUP_FAIL hook, so the forced-degradation ctest leg
-// lands in the poll branch), poll with a non-empty reason otherwise. Every
-// rank must agree — a mixed-plane job would still be wire-compatible, but
-// the launcher exports identical env to all ranks, so disagreement here
-// means the probe is nondeterministic.
-TEST(NetSpmd, DataPlaneMatchesEnvironment) {
-  ASPEN_REQUIRE_LAUNCHED();
-  const int n = job_size();
-  aspen::spmd(n, tcp_cfg(), [n] {
-    auto* ep = aspen::net::endpoint::instance();
-    ASSERT_NE(ep, nullptr);
-    const std::string plane = ep->data_plane();
-    const char* env = std::getenv("ASPEN_NET_URING");
-    const bool want_uring =
-        env != nullptr && std::atoi(env) != 0 && aspen::uring::available();
-    if (want_uring) {
-      EXPECT_EQ(plane, "uring");
-      EXPECT_TRUE(ep->data_plane_reason().empty())
-          << ep->data_plane_reason();
-    } else {
-      EXPECT_EQ(plane, "poll");
-      EXPECT_FALSE(ep->data_plane_reason().empty());
-    }
-    const int mine = plane == "uring" ? 1 : 0;
-    for (int r = 0; r < n; ++r) EXPECT_EQ(aspen::broadcast(mine, r), mine);
-  });
 }
 
 TEST(NetSpmd, NetCountersTick) {

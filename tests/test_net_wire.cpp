@@ -1,9 +1,13 @@
 // aspen::net wire-protocol tests: frame round-trips for every kind, torn
-// (byte-at-a-time) reads, malformed-header rejection, handler deltas, and
-// the ASPEN_NET_* environment overrides. Pure in-process: no sockets, no
-// aspen-run (see test_net_spmd.cpp and the net_spmd_n* ctest entries for
-// the cross-process legs).
+// (byte-at-a-time) reads, malformed-header rejection, handler deltas, the
+// ASPEN_NET_* environment overrides, and the poll plane's byte-stream
+// contract over a socketpair. Pure in-process: no aspen-run (see
+// test_net_spmd.cpp and the net_spmd_n* ctest entries for the
+// cross-process legs).
 #include <gtest/gtest.h>
+
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <cstdlib>
 #include <cstring>
@@ -11,6 +15,7 @@
 
 #include "core/telemetry.hpp"
 #include "core/telemetry_live.hpp"
+#include "net/poll_plane.hpp"
 #include "net/wire.hpp"
 
 namespace net = aspen::net;
@@ -421,45 +426,6 @@ TEST(NetWire, ApplyEnvParsesAggregationKnobs) {
   EXPECT_EQ(got.sendq_max, 0u);
 }
 
-TEST(NetWire, ApplyEnvParsesUringKnobs) {
-  aspen::gex::net_config base;
-  EXPECT_FALSE(base.uring.enabled);  // the uring data plane is opt-in
-
-  setenv("ASPEN_NET_URING", "1", 1);
-  setenv("ASPEN_URING_SQ_DEPTH", "512", 1);
-  setenv("ASPEN_URING_BUFRING_BYTES", "0x400000", 1);
-  aspen::gex::net_config got = net::apply_env(base);
-  EXPECT_TRUE(got.uring.enabled);
-  EXPECT_EQ(got.uring.sq_depth, 512u);
-  EXPECT_EQ(got.uring.bufring_bytes, std::size_t{4} << 20);
-
-  // Depth and buffer-ring clamps: a ring too shallow to batch is useless,
-  // one too deep wastes locked memory; same for the recv buffer pool.
-  setenv("ASPEN_URING_SQ_DEPTH", "1", 1);
-  setenv("ASPEN_URING_BUFRING_BYTES", "1", 1);
-  got = net::apply_env(base);
-  EXPECT_GE(got.uring.sq_depth, 8u);
-  EXPECT_GE(got.uring.bufring_bytes, std::size_t{64} << 10);
-  setenv("ASPEN_URING_SQ_DEPTH", "1000000", 1);
-  setenv("ASPEN_URING_BUFRING_BYTES", "0x10000000000", 1);
-  got = net::apply_env(base);
-  EXPECT_LE(got.uring.sq_depth, 4096u);
-  EXPECT_LE(got.uring.bufring_bytes, std::size_t{64} << 20);
-
-  // ASPEN_NET_URING=0 disarms even with the tuning knobs set.
-  setenv("ASPEN_NET_URING", "0", 1);
-  got = net::apply_env(base);
-  EXPECT_FALSE(got.uring.enabled);
-
-  unsetenv("ASPEN_NET_URING");
-  unsetenv("ASPEN_URING_SQ_DEPTH");
-  unsetenv("ASPEN_URING_BUFRING_BYTES");
-  got = net::apply_env(base);
-  EXPECT_FALSE(got.uring.enabled);
-  EXPECT_EQ(got.uring.sq_depth, base.uring.sq_depth);
-  EXPECT_EQ(got.uring.bufring_bytes, base.uring.bufring_bytes);
-}
-
 // ---------------------------------------------------------------------------
 // Telemetry update frames (the live-aggregation payload codec).
 // ---------------------------------------------------------------------------
@@ -502,7 +468,6 @@ TEST(NetWire, TelemetryUpdateRoundTrips) {
   gin.sendq_high_water = 999999;
   gin.staged_msgs = 7;
   gin.lpc_mailbox_depth = 3;
-  gin.backend = 1;   // uring data plane
   gin.wd_state = 2;  // stalled-then-recovered
   std::vector<std::byte> body;
   live::encode_update(in, gin, body);
@@ -515,13 +480,12 @@ TEST(NetWire, TelemetryUpdateRoundTrips) {
   EXPECT_EQ(gout.sendq_high_water, gin.sendq_high_water);
   EXPECT_EQ(gout.staged_msgs, gin.staged_msgs);
   EXPECT_EQ(gout.lpc_mailbox_depth, gin.lpc_mailbox_depth);
-  EXPECT_EQ(gout.backend, gin.backend);
   EXPECT_EQ(gout.wd_state, gin.wd_state);
 
-  // The all-zero update (an idle interval) is 7 bytes and round-trips too.
+  // The all-zero update (an idle interval) is 6 bytes and round-trips too.
   std::vector<std::byte> empty;
   live::encode_update(snapshot{}, live::gauges{}, empty);
-  EXPECT_EQ(empty.size(), 7u);
+  EXPECT_EQ(empty.size(), 6u);
   ASSERT_TRUE(live::decode_update(empty.data(), empty.size(), &out, &gout));
   EXPECT_TRUE(snap_eq(out, snapshot{}));
 }
@@ -580,7 +544,7 @@ TEST(NetWire, TelemetryUpdateRejectsMalformedInput) {
       put_varint(b, idx);
       put_varint(b, val);
     }
-    for (int g = 0; g < 6; ++g) put_varint(b, 0);  // gauges
+    for (int g = 0; g < 5; ++g) put_varint(b, 0);  // gauges
     return b;
   };
   // Non-increasing field indices (canonical form is strictly ascending).
@@ -656,6 +620,72 @@ TEST(NetWire, FinalFlushEqualsSidecarTotals) {
   aspen::telemetry::merge_into(acc, d2);
   aspen::telemetry::merge_into(acc, d3);
   EXPECT_TRUE(snap_eq(acc, s3));
+}
+
+// ---------------------------------------------------------------------------
+// The poll plane's byte-stream contract.
+// ---------------------------------------------------------------------------
+
+/// Pump sink that concatenates everything the plane delivers.
+struct collect_sink {
+  std::vector<std::byte> bytes;
+  int eof_rank = -1;
+  void on_bytes(int, const void* data, std::size_t len) {
+    const auto* p = static_cast<const std::byte*>(data);
+    bytes.insert(bytes.end(), p, p + len);
+  }
+  void on_eof(int rank) { eof_rank = rank; }
+};
+
+std::vector<std::byte> pattern(std::size_t n, unsigned seed) {
+  std::vector<std::byte> v(n);
+  for (std::size_t i = 0; i < n; ++i)
+    v[i] = static_cast<std::byte>((seed * 131 + i * 7) & 0xFF);
+  return v;
+}
+
+// Two planes bridged by a socketpair play ranks 0 and 1: the sender
+// flushes a mix of small and large buffers (some larger than one recv
+// chunk), and the receiver must observe the exact concatenation in order,
+// then a clean EOF once the sender's socket closes.
+TEST(NetWire, PollPlaneStreamsBytesInOrder) {
+  int sp[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, sp), 0);
+  net::poll_plane tx(2);
+  net::poll_plane rx(2);
+  tx.attach(1, sp[0]);
+  rx.attach(0, sp[1]);
+
+  std::vector<std::byte> expect;
+  collect_sink rx_sink;
+  const std::size_t sizes[] = {17, 400, 9000, 100 * 1024, 3, 64 * 1024};
+  unsigned seed = 0;
+  for (std::size_t n : sizes) {
+    std::vector<std::byte> out = pattern(n, ++seed);
+    expect.insert(expect.end(), out.begin(), out.end());
+    std::size_t off = 0;
+    // Drain the receiver between partial flushes so the socket buffer
+    // never stays full; the EAGAIN residue stays queued in `out`.
+    for (int spin = 0; spin < 20000 && off < out.size(); ++spin) {
+      tx.flush(1, out, off);
+      rx.pump(rx_sink);
+    }
+    EXPECT_EQ(off, out.size());
+  }
+  for (int spin = 0; spin < 20000 && rx_sink.bytes.size() < expect.size();
+       ++spin)
+    rx.pump(rx_sink);
+  ASSERT_EQ(rx_sink.bytes.size(), expect.size());
+  EXPECT_EQ(rx_sink.bytes, expect);
+
+  // Close the sender's socket: the receiver's next pumps must report EOF.
+  tx.detach(1);
+  ::close(sp[0]);
+  for (int spin = 0; spin < 20000 && rx_sink.eof_rank < 0; ++spin)
+    rx.pump(rx_sink);
+  EXPECT_EQ(rx_sink.eof_rank, 0);
+  rx.detach(0);
+  ::close(sp[1]);
 }
 
 }  // namespace

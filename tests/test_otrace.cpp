@@ -5,11 +5,14 @@
 // test_net_spmd.cpp (OtraceSpmd) under aspen-run.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/otrace.hpp"
@@ -35,6 +38,36 @@ void arm(std::uint32_t sample_n, const char* base = "otrace_test") {
   otrace::reset_sampling();
   otrace::set_current(0);
   otrace::clear();
+}
+
+// Two threads make the process's first otrace call at the same moment. The
+// loser of the configuration lock may take the unlocked fast path, so the
+// winner must publish sample_n and the ring before `configured` becomes
+// visible: both threads then see the environment's 1-in-1 sampling and
+// record into a live ring. Declared first so it stays the first otrace call
+// even in a whole-binary run; the test_otrace_first_call ctest leg runs it
+// alone with ASPEN_TRACE_SAMPLE=1 (and under TSan in CI).
+TEST(OtraceFirstCall, ConcurrentLazyConfigPublishesSampling) {
+  const char* env = std::getenv("ASPEN_TRACE_SAMPLE");
+  if (env == nullptr || std::string(env) != "1")
+    GTEST_SKIP() << "needs ASPEN_TRACE_SAMPLE=1 in a fresh process";
+  std::atomic<int> ready{0};
+  std::uint64_t ids[2] = {0, 0};
+  const auto first_call = [&](int i) {
+    ready.fetch_add(1, std::memory_order_acq_rel);
+    while (ready.load(std::memory_order_acquire) < 2) {
+    }
+    ids[i] = otrace::begin_op();
+    otrace::note_id(ids[i], otrace::stage::inject);
+  };
+  std::thread a(first_call, 0);
+  std::thread b(first_call, 1);
+  a.join();
+  b.join();
+  EXPECT_EQ(otrace::sample_n(), 1u);
+  EXPECT_NE(ids[0], 0u);
+  EXPECT_NE(ids[1], 0u);
+  EXPECT_EQ(otrace::records_appended(), 2u);
 }
 
 TEST(Otrace, DumpPathShape) {
