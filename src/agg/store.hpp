@@ -48,8 +48,8 @@ struct store_config {
 namespace detail {
 
 inline std::uint64_t now_ns() noexcept {
-  // Own clock rather than telemetry::lat_now_ns(): the age watermark must
-  // keep working when telemetry is compiled out (lat_now_ns returns 0).
+  // Own clock rather than telemetry's trace clock: the age watermark must
+  // keep working when telemetry is compiled out (the trace clock is gone).
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())

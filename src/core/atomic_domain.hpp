@@ -23,6 +23,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/op_scope.hpp"
 #include "core/rma.hpp"
 #include "gex/amo.hpp"
 
@@ -287,9 +288,7 @@ class atomic_domain {
   auto fetch_op(gex::amo_op op, global_ptr<T> gp, T op1, T op2,
                 Cxs cxs) const -> detail::cx_return_t<Cxs, T> {
     check_registered(op);
-    telemetry::span sp("amo_fetch", "amo");
-    telemetry::op_scope os(telemetry::op_class::amo);
-    otrace::op_scope ts;
+    telemetry::op_scope os(telemetry::op_class::amo, "amo_fetch", "amo");
     telemetry::count(telemetry::counter::amo_fetching);
     detail::rank_context& c = detail::ctx();
     detail::no_remote_cx rs;
@@ -310,9 +309,7 @@ class atomic_domain {
   auto void_op(gex::amo_op op, global_ptr<T> gp, T op1, T op2,
                Cxs cxs) const -> detail::cx_return_t<Cxs> {
     check_registered(op);
-    telemetry::span sp("amo_void", "amo");
-    telemetry::op_scope os(telemetry::op_class::amo);
-    otrace::op_scope ts;
+    telemetry::op_scope os(telemetry::op_class::amo, "amo_void", "amo");
     telemetry::count(telemetry::counter::amo_sideeffect);
     detail::rank_context& c = detail::ctx();
     detail::no_remote_cx rs;
@@ -333,9 +330,7 @@ class atomic_domain {
   auto into_op(gex::amo_op op, global_ptr<T> gp, T op1, T op2, T* dst,
                Cxs cxs) const -> detail::cx_return_t<Cxs> {
     check_registered(op);
-    telemetry::span sp("amo_into", "amo");
-    telemetry::op_scope os(telemetry::op_class::amo);
-    otrace::op_scope ts;
+    telemetry::op_scope os(telemetry::op_class::amo, "amo_into", "amo");
     telemetry::count(telemetry::counter::amo_nonfetching);
     detail::rank_context& c = detail::ctx();
     if (!c.ver.nonfetching_atomics)

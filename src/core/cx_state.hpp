@@ -310,15 +310,15 @@ template <typename... V>
 struct op_record {
   inplace_function<void(V...), 64> complete;
   persona* initiator = nullptr;
-  /// Issuing op's class + issue timestamp, captured at construction (the
-  /// record is created inside the initiating call's op_scope). A remote
-  /// op's notification is deferred by nature, so fulfill() records on the
-  /// deferred stream.
+  /// Issuing op's class + sampled issue timestamp, captured at construction
+  /// (the record is created inside the initiating call's op_scope). A
+  /// remote op's notification is deferred by nature, so fulfill() records a
+  /// timed op on the deferred stream.
   telemetry::op_capture issued;
   std::uint64_t wd_id = 0;  ///< stall-watchdog handle (0 = untracked)
   /// otrace id of the initiating op (0 = unsampled), captured inside the
-  /// initiating call's otrace::op_scope so the reply-side fulfillment can
-  /// rejoin the causal chain.
+  /// initiating call's op_scope so the reply-side fulfillment can rejoin
+  /// the causal chain.
   std::uint64_t trace = otrace::current();
 
   void add_sink(inplace_function<void(V...), 64> sink) {

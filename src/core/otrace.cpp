@@ -69,12 +69,9 @@ struct slot {
 
 struct ot_state {
   std::mutex mu;
-  /// Set (release) under mu once sample_n, ring and mask are published, so
-  /// the unlocked fast path in sample_n() can trust what it reads after an
-  /// acquire load.
-  std::atomic<bool> configured{false};
+  // Whether configured, and sample_n: detail::g_sample (otrace.hpp), set
+  // with release under mu once the ring and mask are published.
   std::string base = "aspen";
-  std::atomic<std::uint32_t> sample_n{0};
   std::atomic<slot*> ring{nullptr};
   std::uint64_t cap = 0;  ///< power of two; set once with `ring`
   std::atomic<std::uint64_t> mask{0};
@@ -99,32 +96,13 @@ ot_state& st() noexcept {
 }
 
 struct ot_tls {
-  std::uint64_t cur = 0;
-  std::uint64_t stream = 0;  ///< sampling decision stream (splitmix64)
   int rank = 0;
   std::uint16_t tag = 0;
-  bool seeded = false;
 };
 
 ot_tls& tls() noexcept {
   static thread_local ot_tls t;
   return t;
-}
-
-std::uint64_t splitmix64(std::uint64_t& x) noexcept {
-  x += 0x9E3779B97F4A7C15ull;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t seed_for_rank(int rank) noexcept {
-  // Fixed constant mixed with the rank: the decision stream is a pure
-  // function of the rank, never of time or address layout.
-  std::uint64_t s = 0xA59E0000u + static_cast<std::uint64_t>(rank + 1);
-  (void)splitmix64(s);
-  return s;
 }
 
 /// Absolute steady-clock nanoseconds corrected to rank 0's clock base (the
@@ -174,11 +152,17 @@ std::uint32_t parse_sample(const char* v) noexcept {
   return static_cast<std::uint32_t>(n);
 }
 
+/// Publish sample_n (and with it, everything written before) to the
+/// unlocked fast path in sample_n().
+void publish_sample_locked(std::uint32_t sample) {
+  detail::g_sample.v.store((static_cast<std::uint64_t>(sample) << 1) | 1,
+                           std::memory_order_release);
+}
+
 void apply_config_locked(ot_state& s, std::uint32_t sample,
                          std::uint64_t ring_bytes) {
-  s.sample_n.store(sample, std::memory_order_relaxed);
   if (sample == 0 || s.ring.load(std::memory_order_relaxed) != nullptr) {
-    s.configured.store(true, std::memory_order_release);
+    publish_sample_locked(sample);
     return;
   }
   if (ring_bytes < (std::uint64_t{4} << 10)) ring_bytes = std::uint64_t{4} << 10;
@@ -193,11 +177,11 @@ void apply_config_locked(ot_state& s, std::uint32_t sample,
   s.mask.store(cap - 1, std::memory_order_relaxed);
   s.ring.store(ring, std::memory_order_release);
   render_dump_path_locked(s);
-  s.configured.store(true, std::memory_order_release);
+  publish_sample_locked(sample);
 }
 
 void ensure_configured_locked(ot_state& s) {
-  if (s.configured.load(std::memory_order_relaxed)) return;
+  if ((detail::g_sample.v.load(std::memory_order_relaxed) & 1) != 0) return;
   const std::uint32_t sample =
       parse_sample(std::getenv("ASPEN_TRACE_SAMPLE"));
   const std::uint64_t ring_bytes =
@@ -369,15 +353,12 @@ void configure(std::uint32_t sample_n, std::uint64_t ring_bytes,
     render_dump_path_locked(s);
 }
 
-bool enabled() noexcept { return sample_n() != 0; }
-
-std::uint32_t sample_n() noexcept {
+std::uint32_t detail::sample_n_slow() noexcept {
   ot_state& s = st();
-  if (!s.configured.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lk(s.mu);
-    ensure_configured_locked(s);
-  }
-  return s.sample_n.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lk(s.mu);
+  ensure_configured_locked(s);
+  return static_cast<std::uint32_t>(
+      detail::g_sample.v.load(std::memory_order_relaxed) >> 1);
 }
 
 std::uint64_t ring_capacity() noexcept {
@@ -398,8 +379,7 @@ const char* dump_base() noexcept {
 void set_thread_rank(int rank) noexcept {
   ot_tls& t = tls();
   t.rank = rank < 0 ? 0 : rank;
-  t.stream = seed_for_rank(t.rank);
-  t.seeded = true;
+  telemetry::detail::tls_draw() = telemetry::detail::draw_seed(t.rank);
   ot_state& s = st();
   int expected = -1;
   if (rank >= 0 &&
@@ -412,35 +392,21 @@ void set_thread_rank(int rank) noexcept {
 }
 
 void reset_sampling() noexcept {
-  ot_tls& t = tls();
-  t.stream = seed_for_rank(t.rank);
-  t.seeded = true;
+  telemetry::detail::tls_draw() = telemetry::detail::draw_seed(tls().rank);
+}
+
+std::uint64_t mint_id() noexcept {
+  const std::uint64_t seq =
+      st().next_seq.fetch_add(1, std::memory_order_relaxed);
+  telemetry::count(telemetry::counter::otrace_sampled);
+  return (static_cast<std::uint64_t>(tls().rank) << 48) |
+         (seq & 0xFFFFFFFFFFFFull);
 }
 
 std::uint64_t begin_op() noexcept {
   const std::uint32_t n = sample_n();
-  if (n == 0) return 0;
-  ot_tls& t = tls();
-  if (!t.seeded) {
-    t.stream = seed_for_rank(t.rank);
-    t.seeded = true;
-  }
-  const std::uint64_t draw = splitmix64(t.stream);
-  if (n != 1 && draw % n != 0) return 0;
-  ot_state& s = st();
-  const std::uint64_t seq =
-      s.next_seq.fetch_add(1, std::memory_order_relaxed);
-  telemetry::count(telemetry::counter::otrace_sampled);
-  return (static_cast<std::uint64_t>(t.rank) << 48) |
-         (seq & 0xFFFFFFFFFFFFull);
-}
-
-std::uint64_t current() noexcept { return tls().cur; }
-
-void set_current(std::uint64_t id) noexcept { tls().cur = id; }
-
-void note(stage stg, std::uint64_t aux) noexcept {
-  note_id(tls().cur, stg, aux);
+  if (n == 0 || telemetry::detail::draw() % n != 0) return 0;
+  return mint_id();
 }
 
 void note_id(std::uint64_t id, stage stg, std::uint64_t aux) noexcept {

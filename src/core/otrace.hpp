@@ -6,7 +6,9 @@
 // answer "why was *this* operation slow". otrace closes that gap: at
 // injection each RMA/RPC/AMO draws a deterministic per-rank sample decision
 // (ASPEN_TRACE_SAMPLE=N samples 1-in-N; "1/N" is accepted too; 0/unset is
-// off). A sampled op gets a 64-bit trace id
+// off). The decision comes from the same single draw per op that picks the
+// 1-in-16 latency-timed ops (telemetry::op_scope, core/op_scope.hpp), and a
+// sampled op is always timed. A sampled op gets a 64-bit trace id
 //
 //   id = (rank << 48) | local_seq
 //
@@ -36,6 +38,7 @@
 // ON and OFF builds interoperate frame-for-frame.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -103,9 +106,35 @@ inline constexpr std::uint64_t kEdgeSaltCts = 0x165667B19E3779F9ull;
 void configure(std::uint32_t sample_n, std::uint64_t ring_bytes,
                const char* base) noexcept;
 
+namespace detail {
+
+/// Sampling word: bit 0 set once the configuration (sample_n, ring, mask)
+/// is published, sample_n in the bits above it. Stored with release after
+/// the ring exists, so one acquire load answers "is tracing on" without the
+/// configuration lock.
+inline telemetry::detail::own_line<std::atomic<std::uint64_t>> g_sample;
+
+/// sample_n() before the first configuration: takes the lock and parses the
+/// environment once.
+[[nodiscard]] std::uint32_t sample_n_slow() noexcept;
+
+/// The calling thread's active trace id.
+[[nodiscard]] inline std::uint64_t& tls_current() noexcept {
+  static thread_local std::uint64_t cur = 0;
+  return cur;
+}
+
+}  // namespace detail
+
+/// The configured 1-in-N rate (0 = off).
+[[nodiscard]] inline std::uint32_t sample_n() noexcept {
+  const std::uint64_t w = detail::g_sample.v.load(std::memory_order_acquire);
+  return (w & 1) != 0 ? static_cast<std::uint32_t>(w >> 1)
+                      : detail::sample_n_slow();
+}
+
 /// sample_n() != 0.
-[[nodiscard]] bool enabled() noexcept;
-[[nodiscard]] std::uint32_t sample_n() noexcept;
+[[nodiscard]] inline bool enabled() noexcept { return sample_n() != 0; }
 
 /// Ring capacity in records (rounded down to a power of two).
 [[nodiscard]] std::uint64_t ring_capacity() noexcept;
@@ -115,29 +144,40 @@ void configure(std::uint32_t sample_n, std::uint64_t ring_bytes,
 [[nodiscard]] const char* dump_base() noexcept;
 
 /// Tag the calling thread with its rank (forwarded from
-/// telemetry::set_thread_rank). Seeds this thread's decision stream: the
-/// sequence of sample decisions drawn after set_thread_rank(r) is a pure
-/// function of r, so runs replay identically.
+/// telemetry::set_thread_rank). Seeds this thread's injection draw stream
+/// (telemetry::detail::draw): the sequence of decisions drawn after
+/// set_thread_rank(r) is a pure function of r, so runs replay identically.
 void set_thread_rank(int rank) noexcept;
 
-/// Reset the calling thread's decision stream to its seed (tests).
+/// Reset the calling thread's draw stream to its seed (tests).
 void reset_sampling() noexcept;
 
-/// Draw the injection-site sample decision. Returns a fresh trace id, or 0
-/// when unsampled/disabled. Counts counter::otrace_sampled on a hit.
+/// Mint a fresh trace id, (rank << 48) | seq, and count
+/// counter::otrace_sampled. The injection scope (telemetry::op_scope) calls
+/// it when its draw samples the op.
+[[nodiscard]] std::uint64_t mint_id() noexcept;
+
+/// Draw one sample decision from the calling thread's stream. Returns a
+/// fresh trace id, or 0 when unsampled/disabled (no draw is taken then).
 [[nodiscard]] std::uint64_t begin_op() noexcept;
 
 /// The trace id active on this thread (0 none).
-[[nodiscard]] std::uint64_t current() noexcept;
-void set_current(std::uint64_t id) noexcept;
-
-/// Append a stage record for the active trace (no-op when none).
-void note(stage st, std::uint64_t aux = 0) noexcept;
+[[nodiscard]] inline std::uint64_t current() noexcept {
+  return detail::tls_current();
+}
+inline void set_current(std::uint64_t id) noexcept {
+  detail::tls_current() = id;
+}
 
 /// Append a stage record for an explicit trace id (no-op when 0). Used
 /// where the id was captured earlier — op_records, deferred closures, wire
 /// decode paths.
 void note_id(std::uint64_t id, stage st, std::uint64_t aux = 0) noexcept;
+
+/// Append a stage record for the active trace (no-op when none).
+inline void note(stage st, std::uint64_t aux = 0) noexcept {
+  if (const std::uint64_t id = current(); id != 0) note_id(id, st, aux);
+}
 
 /// RAII: set the active trace id, restore the previous on exit. Used by
 /// am_message::execute so every AM handler (and any reply it sends) runs
@@ -150,30 +190,6 @@ class scope {
   ~scope() { set_current(saved_); }
   scope(const scope&) = delete;
   scope& operator=(const scope&) = delete;
-
- private:
-  std::uint64_t saved_;
-};
-
-/// Injection-site sampler: communication entry points construct one next to
-/// telemetry::op_scope. Draws a sample decision only when no trace is
-/// already active (ops issued from inside a sampled op's handler or
-/// completion stay on the enclosing trace), records the inject stage on a
-/// hit, and restores the previous id on exit.
-class op_scope {
- public:
-  op_scope() noexcept : saved_(current()) {
-    if (saved_ == 0) {
-      const std::uint64_t id = begin_op();
-      if (id != 0) {
-        set_current(id);
-        note(stage::inject);
-      }
-    }
-  }
-  ~op_scope() { set_current(saved_); }
-  op_scope(const op_scope&) = delete;
-  op_scope& operator=(const op_scope&) = delete;
 
  private:
   std::uint64_t saved_;
@@ -231,6 +247,7 @@ inline void configure(std::uint32_t, std::uint64_t, const char*) noexcept {}
 [[nodiscard]] inline const char* dump_base() noexcept { return "aspen"; }
 inline void set_thread_rank(int) noexcept {}
 inline void reset_sampling() noexcept {}
+[[nodiscard]] inline std::uint64_t mint_id() noexcept { return 0; }
 [[nodiscard]] inline std::uint64_t begin_op() noexcept { return 0; }
 [[nodiscard]] inline std::uint64_t current() noexcept { return 0; }
 inline void set_current(std::uint64_t) noexcept {}
@@ -242,15 +259,6 @@ class scope {
   scope& operator=(const scope&) = delete;
 };
 static_assert(sizeof(scope) == 1,
-              "with ASPEN_TELEMETRY off otrace scopes must carry no state");
-
-class op_scope {
- public:
-  op_scope() noexcept = default;
-  op_scope(const op_scope&) = delete;
-  op_scope& operator=(const op_scope&) = delete;
-};
-static_assert(sizeof(op_scope) == 1,
               "with ASPEN_TELEMETRY off otrace scopes must carry no state");
 
 inline void note(stage, std::uint64_t = 0) noexcept {}

@@ -15,6 +15,7 @@
 #include <type_traits>
 
 #include "core/cx_state.hpp"
+#include "core/op_scope.hpp"
 #include "core/serialization.hpp"
 
 namespace aspen {
@@ -57,8 +58,8 @@ void rpc_reply_handler(gex::runtime&, int /*me*/, int /*src*/,
                        std::byte* payload, std::size_t len) {
   ser_reader r(payload, len);
   auto* c = reinterpret_cast<cell<U...>*>(r.read<std::uint64_t>());
-  // Issue timestamp echoed by the target (initiator clock; 0 when the
-  // initiator was built without telemetry).
+  // Issue timestamp echoed by the target (initiator clock; 0 when the rpc
+  // was not timed or the initiator was built without telemetry).
   const auto issue_ns = r.read<std::uint64_t>();
   if constexpr (sizeof...(U) > 0) {
     c->set_value_tuple(r.read<std::tuple<U...>>());
@@ -68,9 +69,7 @@ void rpc_reply_handler(gex::runtime&, int /*me*/, int /*src*/,
   otrace::note(otrace::stage::fulfill_deferred);
   c->satisfy(1);
   c->drop_ref();
-  if (issue_ns != 0)
-    telemetry::note_latency(telemetry::lat_stream::rpc_deferred,
-                            telemetry::lat_now_ns() - issue_ns);
+  telemetry::note_since(telemetry::lat_stream::rpc_deferred, issue_ns);
 }
 
 /// Serialize and send the reply that fulfills `cell_bits` on `initiator`.
@@ -131,9 +130,8 @@ template <typename Fn, typename ArgsTuple>
 void send_rpc_ff_tuple(int target, const Fn& fn, const ArgsTuple& args) {
   static_assert(shippable_callable<Fn>,
                 "rpc callables must be trivially copyable");
-  telemetry::span sp("rpc_ff", "rpc");
+  telemetry::op_scope os(telemetry::op_class::rpc, "rpc_ff", "rpc");
   telemetry::count(telemetry::counter::rpc_ff_sent);
-  otrace::op_scope ts;
   ser_writer w(sizeof(Fn) + 64);
   write_callable(w, fn);
   w.write(args);
@@ -180,18 +178,18 @@ auto rpc(int target, Fn fn, Args&&... args) {
   using RFut = typename detail::rpc_future<R>::type;
   using RCell = typename detail::rfut_traits<RFut>::cell_t;
 
-  telemetry::span sp("rpc", "rpc");
+  telemetry::op_scope os(telemetry::op_class::rpc, "rpc", "rpc");
   telemetry::count(telemetry::counter::rpc_roundtrip);
-  otrace::op_scope ts;
   auto* c = new RCell();
   c->deps = 1;
   c->add_ref();  // the in-flight reply's reference
 
   ser_writer w(2 * sizeof(std::uint64_t) + sizeof(Fn) + 64);
   w.write(reinterpret_cast<std::uint64_t>(c));
-  // Issue timestamp, echoed back in the reply. Always written (0 when
-  // telemetry is compiled out) so the request layout is build-independent.
-  w.write(telemetry::lat_now_ns());
+  // Issue timestamp, echoed back in the reply: the op scope's sampled stamp,
+  // 0 for an untimed rpc. Always written (0 when telemetry is compiled out)
+  // so the request layout is build-independent.
+  w.write(telemetry::op_issue_ns());
   detail::write_callable(w, fn);
   w.write(ArgsTuple(std::forward<Args>(args)...));
 

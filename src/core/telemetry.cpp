@@ -296,8 +296,6 @@ trace_buffer& tls_trace() noexcept {
   return b;
 }
 
-std::atomic<bool> g_tracing{false};
-
 // Set once by the conduit::tcp bootstrap (rank 0 stores offset 0). While
 // unset, traces keep their original process-relative timestamps so
 // single-process consumers see no change.
@@ -402,11 +400,7 @@ void trace_emit_flow(const char* name, const char* cat, bool begin,
 
 void enable_tracing(bool on) noexcept {
   if (on) process_epoch_ns();  // pin t=0 before the first span
-  g_tracing.store(on, std::memory_order_relaxed);
-}
-
-bool tracing_enabled() noexcept {
-  return g_tracing.load(std::memory_order_relaxed);
+  detail::g_tracing.v.store(on, std::memory_order_relaxed);
 }
 
 void set_thread_rank(int rank) noexcept {
@@ -480,7 +474,6 @@ snapshot local_snapshot() noexcept { return {}; }
 snapshot aggregate() noexcept { return {}; }
 
 void enable_tracing(bool) noexcept {}
-bool tracing_enabled() noexcept { return false; }
 void set_thread_rank(int rank) noexcept { log_set_rank(rank); }
 void set_clock_sync(std::int64_t) noexcept {}
 bool clock_synced() noexcept { return false; }

@@ -13,9 +13,9 @@
 //
 // Architecture:
 //   - counters live in a per-thread `record` of cache-line-padded relaxed
-//     atomics (one rank == one thread in this runtime, so writes are
-//     uncontended; padding keeps cross-thread snapshot reads from
-//     false-sharing the writer);
+//     atomics written only by their owning thread, so a bump is a relaxed
+//     load + store, never a lock-prefixed read-modify-write (padding keeps
+//     cross-thread snapshot reads from false-sharing the writer);
 //   - records register themselves in a process-global registry on first
 //     use and merge into a retired aggregate at thread exit, so
 //     telemetry::aggregate() works both during and after an spmd() run;
@@ -269,6 +269,13 @@ struct alignas(64) padded_u64 {
   std::atomic<std::uint64_t> v{0};
 };
 
+/// Add to a word only its owning thread writes. Concurrent readers
+/// (aggregate()) see each relaxed store whole; no lock prefix is needed
+/// because there is no second writer to lose an update to.
+inline void bump(std::atomic<std::uint64_t>& w, std::uint64_t n) noexcept {
+  w.store(w.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+}
+
 /// Per-stream latency storage. Unpadded (13 streams x 65 words would be
 /// 54 KiB/thread padded): buckets on one stream are written by the owning
 /// thread only, and a reader tearing across bucket lines still sees each
@@ -291,8 +298,7 @@ struct record {
   ~record();  // merges into the retired aggregate and deregisters
 
   void add(counter c, std::uint64_t n) noexcept {
-    sums[static_cast<std::size_t>(c)].v.fetch_add(n,
-                                                  std::memory_order_relaxed);
+    bump(sums[static_cast<std::size_t>(c)].v, n);
   }
   /// Single-writer monotone max (only the owning thread stores).
   void raise_high_water(std::uint64_t depth) noexcept {
@@ -314,7 +320,7 @@ struct record {
   /// a plain load/store like raise_high_water.
   void note_lat(lat_stream s, std::uint64_t ns) noexcept {
     lat_cell& c = lat[static_cast<std::size_t>(s)];
-    c.buckets[lat_bucket(ns)].fetch_add(1, std::memory_order_relaxed);
+    bump(c.buckets[lat_bucket(ns)], 1);
     if (ns > c.max_ns.load(std::memory_order_relaxed))
       c.max_ns.store(ns, std::memory_order_relaxed);
   }
@@ -356,8 +362,8 @@ inline void count(counter c, std::uint64_t n = 1) noexcept {
 inline void note_pq_fire(std::size_t batch) noexcept {
 #if ASPEN_TELEMETRY_ENABLED
   detail::record& r = detail::tls_record();
-  r.pq_hist[pq_batch_bucket(batch)].v.fetch_add(1, std::memory_order_relaxed);
-  r.pq_total_fired.v.fetch_add(batch, std::memory_order_relaxed);
+  detail::bump(r.pq_hist[pq_batch_bucket(batch)].v, 1);
+  detail::bump(r.pq_total_fired.v, batch);
 #else
   (void)batch;
 #endif
@@ -385,8 +391,7 @@ inline void note_lpc_mailbox_depth(std::size_t depth) noexcept {
 /// Record one capacity growth of a progress-queue vector.
 inline void note_pq_reserve_growth() noexcept {
 #if ASPEN_TELEMETRY_ENABLED
-  detail::tls_record().pq_reserve_growths.v.fetch_add(
-      1, std::memory_order_relaxed);
+  detail::bump(detail::tls_record().pq_reserve_growths.v, 1);
 #endif
 }
 
@@ -412,11 +417,25 @@ inline void note_latency(lat_stream s, std::uint64_t ns) noexcept {
 // Trace Event export (chrome://tracing / Perfetto)
 // ---------------------------------------------------------------------------
 
+namespace detail {
+#if ASPEN_TELEMETRY_ENABLED
+/// Span-collection switch (enable_tracing). Constant-initialised, so the
+/// inline tracing_enabled() below is one relaxed load.
+inline own_line<std::atomic<bool>> g_tracing;
+#endif
+}  // namespace detail
+
 /// Runtime switch for span collection. Off by default; flipping it on/off
 /// brackets the region of interest so hot loops pay only a relaxed load
 /// when idle.
 void enable_tracing(bool on) noexcept;
-[[nodiscard]] bool tracing_enabled() noexcept;
+[[nodiscard]] inline bool tracing_enabled() noexcept {
+#if ASPEN_TELEMETRY_ENABLED
+  return detail::g_tracing.v.load(std::memory_order_relaxed);
+#else
+  return false;
+#endif
+}
 
 /// Tag the calling thread with its rank; emitted as the Trace Event `tid`
 /// so Perfetto groups spans per rank. Called by the spmd launcher.
@@ -463,31 +482,88 @@ void trace_emit(const char* name, const char* cat, std::uint64_t ts_ns,
 void trace_emit_flow(const char* name, const char* cat, bool begin,
                      std::uint64_t id) noexcept;
 
-/// The op currently being issued on this thread (op_scope below). The
-/// completion engine (cx_state.hpp) reads it at every disposition site to
-/// attribute the notification's issue->completion latency to the right
-/// lat_stream without threading a class/timestamp parameter through every
-/// handle_sync/handle_async overload.
+/// The op currently being issued on this thread (telemetry::op_scope in
+/// core/op_scope.hpp). The completion engine (cx_state.hpp) reads it at
+/// every disposition site to attribute the notification's issue->completion
+/// latency to the right lat_stream without threading a class/timestamp
+/// parameter through every handle_sync/handle_async overload. `in_op` says
+/// an op scope is open (the watchdog tracks every such remote op); `timed`
+/// says this op drew a latency sample, and only then is issue_ns set.
 struct op_ctx {
   std::uint64_t issue_ns = 0;
   op_class cls = op_class::rma_put;
-  bool active = false;
+  bool in_op = false;
+  bool timed = false;
 };
 
 [[nodiscard]] inline op_ctx& tls_op() noexcept {
   static thread_local op_ctx o;
   return o;
 }
+
+/// Seed of a thread's injection draw stream: a fixed constant mixed with
+/// the rank, so the stream (and every decision drawn from it) is a pure
+/// function of the rank, never of time or address layout.
+[[nodiscard]] constexpr std::uint64_t draw_seed(int rank) noexcept {
+  std::uint64_t z = 0xA59E0000u + static_cast<std::uint64_t>(rank + 1) +
+                    0x9E3779B97F4A7C15ull;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
+/// The calling thread's draw stream state (seeded by otrace::set_thread_rank
+/// and reset by otrace::reset_sampling).
+[[nodiscard]] inline std::uint64_t& tls_draw() noexcept {
+  static thread_local std::uint64_t s = draw_seed(0);
+  return s;
+}
+
+/// One draw: a 64-bit LCG step, returning the high half (the low bits of
+/// a power-of-two LCG have short periods). Both the latency-sampling and
+/// the otrace decisions of an op come from this one value.
+[[nodiscard]] inline std::uint32_t draw() noexcept {
+  std::uint64_t& s = tls_draw();
+  s = s * 6364136223846793005ull + 1442695040888963407ull;
+  return static_cast<std::uint32_t>(s >> 32);
+}
 #endif
 
 }  // namespace detail
 
-/// The trace clock (process-relative steady ns), or 0 when telemetry is
-/// compiled out. Payload stamps (e.g. the rpc request's issue timestamp)
-/// use this so wire layouts stay identical across build configurations.
-[[nodiscard]] inline std::uint64_t lat_now_ns() noexcept {
+/// One op in kTimedOneIn has its issue->completion latency timed; the rest
+/// read no clock at all. A fixed constant: the histograms it feeds are
+/// shape estimates, while every counter stays exact.
+inline constexpr std::uint32_t kTimedOneIn = 16;
+
+/// Record `now - issue_ns` on `s` when the stamp is a timed one (non-zero);
+/// an untimed stamp of 0 reads no clock.
+inline void note_since(lat_stream s, std::uint64_t issue_ns) noexcept {
 #if ASPEN_TELEMETRY_ENABLED
-  return detail::trace_now_ns();
+  if (issue_ns != 0) note_latency(s, detail::trace_now_ns() - issue_ns);
+#else
+  (void)s;
+  (void)issue_ns;
+#endif
+}
+
+/// A sampled stamp for work outside an op scope (when_all): draws once,
+/// and returns the trace clock on a 1-in-kTimedOneIn hit, else 0.
+[[nodiscard]] inline std::uint64_t sampled_now_ns() noexcept {
+#if ASPEN_TELEMETRY_ENABLED
+  return detail::draw() % kTimedOneIn == 0 ? detail::trace_now_ns() : 0;
+#else
+  return 0;
+#endif
+}
+
+/// The issue stamp of the op being issued on this thread, or 0 when it is
+/// untimed (or no op scope is open). The rpc request carries it so the
+/// reply records the round trip only for timed rpcs.
+[[nodiscard]] inline std::uint64_t op_issue_ns() noexcept {
+#if ASPEN_TELEMETRY_ENABLED
+  const detail::op_ctx& o = detail::tls_op();
+  return o.timed ? o.issue_ns : 0;
 #else
   return 0;
 #endif
@@ -495,67 +571,32 @@ struct op_ctx {
 
 #if ASPEN_TELEMETRY_ENABLED
 
-/// RAII op-issue marker: communication entry points (rput/rget/atomics)
-/// construct one, and every completion notification the op spawns records
-/// now - issue_ns on the stream for (cls, disposition). Nests (saves and
-/// restores the previous context) so an op issued from inside another op's
-/// inline completion attributes correctly.
-class op_scope {
- public:
-  explicit op_scope(op_class cls) noexcept : saved_(detail::tls_op()) {
-    detail::tls_op() = {detail::trace_now_ns(), cls, true};
-  }
-  ~op_scope() { detail::tls_op() = saved_; }
-  op_scope(const op_scope&) = delete;
-  op_scope& operator=(const op_scope&) = delete;
-
- private:
-  detail::op_ctx saved_;
-};
-
 /// Snapshot of the issuing op's context, captured into deferred-completion
 /// closures and op_records at injection time and consumed when the
 /// notification finally fires (possibly on another thread — the record
 /// written is the firing thread's, which aggregate() sums anyway).
 struct op_capture {
-  std::uint64_t issue_ns = 0;
-  op_class cls = op_class::rma_put;
-  bool active = false;
-
-  op_capture() noexcept {
-    const detail::op_ctx& o = detail::tls_op();
-    issue_ns = o.issue_ns;
-    cls = o.cls;
-    active = o.active;
-  }
+  detail::op_ctx op = detail::tls_op();
 
   void complete_deferred() const noexcept {
-    if (active)
-      note_latency(stream_of(cls, disposition::deferred),
-                   detail::trace_now_ns() - issue_ns);
+    if (op.timed)
+      note_latency(stream_of(op.cls, disposition::deferred),
+                   detail::trace_now_ns() - op.issue_ns);
   }
 
   /// Register the captured op with the stall watchdog (0 when untracked:
-  /// watchdog disabled, or no op_scope was active at capture).
+  /// watchdog disabled, or no op scope was open at capture). Every op is
+  /// tracked, timed or not: a stall is a property of the op, not the sample.
   [[nodiscard]] std::uint64_t track() const noexcept {
-    return active ? watchdog::track_op(cls) : 0;
+    return op.in_op && watchdog::enabled() ? watchdog::track_op(op.cls) : 0;
   }
 };
 
-/// Record an eager (inline) completion of the op being issued, if any.
+/// Record an eager (inline) completion of the op being issued, if timed.
 inline void note_op_eager() noexcept {
   const detail::op_ctx& o = detail::tls_op();
-  if (o.active)
+  if (o.timed)
     note_latency(stream_of(o.cls, disposition::eager),
-                 detail::trace_now_ns() - o.issue_ns);
-}
-
-/// Record a deferred completion of the op being issued, if any (the
-/// enqueue-time variant; closures that fire later use op_capture).
-inline void note_op_deferred_now() noexcept {
-  const detail::op_ctx& o = detail::tls_op();
-  if (o.active)
-    note_latency(stream_of(o.cls, disposition::deferred),
                  detail::trace_now_ns() - o.issue_ns);
 }
 
@@ -573,16 +614,6 @@ inline void note_progress_tick() noexcept {
 
 #else  // !ASPEN_TELEMETRY_ENABLED
 
-class op_scope {
- public:
-  explicit op_scope(op_class) noexcept {}
-  op_scope(const op_scope&) = delete;
-  op_scope& operator=(const op_scope&) = delete;
-};
-
-static_assert(sizeof(op_scope) == 1,
-              "with ASPEN_TELEMETRY off op scopes must carry no state");
-
 struct op_capture {
   op_capture() noexcept = default;
   void complete_deferred() const noexcept {}
@@ -590,7 +621,6 @@ struct op_capture {
 };
 
 inline void note_op_eager() noexcept {}
-inline void note_op_deferred_now() noexcept {}
 inline void note_progress_tick() noexcept {}
 
 #endif

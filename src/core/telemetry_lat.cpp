@@ -106,9 +106,7 @@ struct pending_op {
 
 struct wd_state {
   std::mutex mu;
-  // Configuration (guarded by mu; read through the relaxed mirror below
-  // on the hot path).
-  bool configured = false;
+  // Configuration (guarded by mu; the hot path reads only g_state).
   std::uint64_t threshold_ns = 0;
   std::string report_base = "aspen";
   // Pending-op registry (guarded by mu). Ordered map: ids are issued
@@ -118,7 +116,6 @@ struct wd_state {
   std::map<std::uint64_t, pending_op> pending;
   transport_probe probe;  ///< guarded by mu
   std::atomic<int> reports{0};
-  std::atomic<bool> enabled_mirror{false};
   std::atomic<bool> signal_installed{false};
   /// 0 healthy, 1 stall episode active, 2 recovered (health_state()).
   std::atomic<int> health{0};
@@ -147,9 +144,14 @@ wd_tls& tls() noexcept {
   return t;
 }
 
+/// Publish the configuration just written under mu: a reader that sees
+/// g_state != 0 never needs the lock.
+void publish_locked(const wd_state& s) {
+  g_state.v.store(s.threshold_ns != 0 ? 2 : 1, std::memory_order_release);
+}
+
 void ensure_configured_locked(wd_state& s) {
-  if (s.configured) return;
-  s.configured = true;
+  if (g_state.v.load(std::memory_order_relaxed) != 0) return;
   const char* v = std::getenv("ASPEN_WATCHDOG_MS");
   if (v != nullptr && *v != '\0') {
     char* end = nullptr;
@@ -163,7 +165,7 @@ void ensure_configured_locked(wd_state& s) {
   }
   const char* base = std::getenv("ASPEN_WATCHDOG_REPORT");
   if (base != nullptr && *base != '\0') s.report_base = base;
-  s.enabled_mirror.store(s.threshold_ns != 0, std::memory_order_relaxed);
+  publish_locked(s);
 }
 
 std::uint64_t threshold_ns_locked(wd_state& s) {
@@ -305,20 +307,16 @@ void maybe_check(std::uint64_t now_ns, std::uint64_t prev_progress_ns) {
 void configure(std::uint64_t threshold_ms, const char* report_base) noexcept {
   wd_state& s = st();
   std::lock_guard<std::mutex> lk(s.mu);
-  s.configured = true;
   s.threshold_ns = threshold_ms * 1'000'000u;
   s.report_base = report_base == nullptr ? "aspen" : report_base;
-  s.enabled_mirror.store(s.threshold_ns != 0, std::memory_order_relaxed);
+  publish_locked(s);
 }
 
-bool enabled() noexcept {
+bool enabled_slow() noexcept {
   wd_state& s = st();
-  if (!s.enabled_mirror.load(std::memory_order_relaxed)) {
-    // Cheap until first configured; parse the environment exactly once.
-    std::lock_guard<std::mutex> lk(s.mu);
-    ensure_configured_locked(s);
-  }
-  return s.enabled_mirror.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lk(s.mu);
+  ensure_configured_locked(s);
+  return g_state.v.load(std::memory_order_relaxed) == 2;
 }
 
 std::uint64_t threshold_ms() noexcept {
@@ -352,17 +350,12 @@ void note_progress(std::uint64_t now_ns) noexcept {
   wd_tls& t = tls();
   const std::uint64_t prev = t.last_progress_ns;
   t.last_progress_ns = now_ns;
-  if (!st().enabled_mirror.load(std::memory_order_relaxed) &&
-      g_report_requested == 0) {
-    // enabled() below would parse the env lazily; do it only until the
-    // first real check resolves the configuration.
-    if (!enabled()) return;
-  }
+  if (!enabled()) return;
   maybe_check(now_ns, prev);
 }
 
 void poll_check() noexcept {
-  if (!st().enabled_mirror.load(std::memory_order_relaxed)) return;
+  if (!enabled()) return;
   const std::uint64_t now = detail::trace_now_ns();
   maybe_check(now, tls().last_progress_ns);
 }

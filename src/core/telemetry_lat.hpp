@@ -34,6 +34,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -49,6 +50,20 @@
 #endif
 
 namespace aspen::telemetry {
+
+namespace detail {
+
+/// A word on a cache line of its own (alignas pads the struct to 64
+/// bytes). For the configuration words that every op or every progress()
+/// call loads and almost nothing writes: an unrelated global that another
+/// thread keeps writing must not share their line, or each of its writes
+/// turns the next load into a coherence miss.
+template <typename T>
+struct alignas(64) own_line {
+  T v{};
+};
+
+}  // namespace detail
 
 // ---------------------------------------------------------------------------
 // Latency stream taxonomy
@@ -230,7 +245,20 @@ using transport_probe = std::function<transport_status()>;
 /// environment is parsed lazily on first use otherwise.
 void configure(std::uint64_t threshold_ms, const char* report_base) noexcept;
 
-[[nodiscard]] bool enabled() noexcept;
+/// Configuration state word: 0 until the first configuration (configure()
+/// or the lazy environment parse) is published, then 1 = disabled,
+/// 2 = enabled. Stored with release after the configuration it describes.
+inline detail::own_line<std::atomic<std::uint8_t>> g_state;
+
+/// enabled() before the first configuration: takes the lock and parses
+/// the environment once.
+[[nodiscard]] bool enabled_slow() noexcept;
+
+/// One acquire load once configured; the lock is taken only until then.
+[[nodiscard]] inline bool enabled() noexcept {
+  const std::uint8_t v = g_state.v.load(std::memory_order_acquire);
+  return v != 0 ? v == 2 : enabled_slow();
+}
 [[nodiscard]] std::uint64_t threshold_ms() noexcept;
 
 /// Tag the calling thread with its rank (forwarded from

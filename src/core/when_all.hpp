@@ -69,7 +69,7 @@ struct gather_node {
   FutTuple inputs;
   RCell* rc;  // holds one reference
   std::size_t remaining;
-  std::uint64_t issue_ns = 0;  // when_all() call time, for whenall_deferred
+  std::uint64_t issue_ns = 0;  // sampled when_all() call time (0 = untimed)
 
   gather_node(FutTuple in, RCell* r, std::size_t rem)
       : inputs(std::move(in)), rc(r), remaining(rem) {
@@ -86,8 +86,7 @@ struct gather_node {
         inputs));
     rc->satisfy(1);
     rc->drop_ref();
-    telemetry::note_latency(telemetry::lat_stream::whenall_deferred,
-                            telemetry::lat_now_ns() - issue_ns);
+    telemetry::note_since(telemetry::lat_stream::whenall_deferred, issue_ns);
     delete this;
   }
 };
@@ -114,7 +113,7 @@ auto when_all(Args&&... args) {
   if constexpr (n == 0) {
     return make_future();
   } else {
-    const std::uint64_t wa_issue = telemetry::lat_now_ns();
+    const std::uint64_t wa_issue = telemetry::sampled_now_ns();
     auto inputs = std::make_tuple(to_future(std::forward<Args>(args))...);
     using FutTuple = decltype(inputs);
     constexpr std::array<bool, n> valued{
@@ -133,14 +132,14 @@ auto when_all(Args&&... args) {
             inputs);
         if (npend == 0) {
           telemetry::count(telemetry::counter::whenall_all_ready);
-          telemetry::note_latency(telemetry::lat_stream::whenall_eager,
-                                  telemetry::lat_now_ns() - wa_issue);
+          telemetry::note_since(telemetry::lat_stream::whenall_eager,
+                                wa_issue);
           return RFut(std::get<0>(inputs));
         }
         if (npend == 1) {
           telemetry::count(telemetry::counter::whenall_one_pending);
-          telemetry::note_latency(telemetry::lat_stream::whenall_eager,
-                                  telemetry::lat_now_ns() - wa_issue);
+          telemetry::note_since(telemetry::lat_stream::whenall_eager,
+                                wa_issue);
           return RFut(*pending);
         }
       } else if constexpr (valued_count == 1) {
@@ -156,8 +155,8 @@ auto when_all(Args&&... args) {
             inputs);
         if (others_ready) {
           telemetry::count(telemetry::counter::whenall_one_valued);
-          telemetry::note_latency(telemetry::lat_stream::whenall_eager,
-                                  telemetry::lat_now_ns() - wa_issue);
+          telemetry::note_since(telemetry::lat_stream::whenall_eager,
+                                wa_issue);
           constexpr std::size_t vi = detail::first_true(valued);
           return RFut(std::get<vi>(inputs));
         }

@@ -1004,7 +1004,7 @@ std::size_t endpoint::drain_peer(gex::runtime& rt, int rank) {
   std::size_t work = 0;
   frame f;
   while (p.dec && p.dec->try_next(f)) {
-    process_frame(rt, rank, std::move(f));
+    process_frame(rank, std::move(f));
     ++work;
   }
   if (p.dec && p.dec->in_error()) {
@@ -1030,7 +1030,7 @@ std::size_t endpoint::drain_peer(gex::runtime& rt, int rank) {
   return work;
 }
 
-void endpoint::process_frame(gex::runtime& rt, int rank, frame&& f) {
+void endpoint::process_frame(int rank, frame&& f) {
   peer& p = peer_of(rank);
   switch (f.kind()) {
     case frame_kind::am_eager: {

@@ -314,7 +314,7 @@ class endpoint final : public gex::wire_transport {
   std::size_t drain_peer(gex::runtime& rt, int rank);
   /// Drain the peer's inbound shm rings into the staged map.
   std::size_t pump_shm_peer(gex::runtime& rt, int rank);
-  void process_frame(gex::runtime& rt, int rank, frame&& f);
+  void process_frame(int rank, frame&& f);
   /// Release in-order staged AMs to the substrate inbox.
   std::size_t release_staged(gex::runtime& rt, int rank);
   /// True while any local queue/staging/rendezvous state is unsettled.

@@ -2,6 +2,8 @@
 // and update-correctness of every benchmark variant.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "apps/gups/gups.hpp"
 
 namespace g = aspen::apps::gups;
@@ -144,6 +146,98 @@ TEST(GupsVariants, ImmediateVariantsProduceSameTableSingleRank) {
         EXPECT_EQ(snapshot, reference) << g::to_string(v);
       }
     }
+  });
+}
+
+/// The table a serial XOR replay of ranks' HPCC stream slices produces,
+/// starting from the identity fill (what one run of an exact variant must
+/// leave behind).
+std::vector<std::uint64_t> serial_replay(const g::params& p, int ranks) {
+  const std::uint64_t size = std::uint64_t{1} << p.table_bits;
+  std::vector<std::uint64_t> t(size);
+  for (std::uint64_t i = 0; i < size; ++i) t[i] = i;
+  for (int r = 0; r < ranks; ++r) {
+    std::uint64_t ran = g::starts(static_cast<std::int64_t>(
+        p.updates_per_rank * static_cast<std::uint64_t>(r)));
+    for (std::uint64_t u = 0; u < p.updates_per_rank; ++u) {
+      ran = g::next_random(ran);
+      t[ran & (size - 1)] ^= ran;
+    }
+  }
+  return t;
+}
+
+struct replay_diff {
+  std::uint64_t vs_replay = 0;    ///< entries != the serial replay
+  std::uint64_t vs_identity = 0;  ///< entries != the identity fill
+};
+
+/// Compare every rank's slice of `t` with `want` (collective).
+replay_diff diff_against(g::table& t, const std::vector<std::uint64_t>& want) {
+  aspen::barrier();
+  const std::uint64_t base =
+      t.per_rank() * static_cast<std::uint64_t>(aspen::rank_me());
+  replay_diff d;
+  for (std::uint64_t i = 0; i < t.per_rank(); ++i) {
+    const std::uint64_t v = t.local_slice()[i];
+    if (v != want[base + i]) ++d.vs_replay;
+    if (v != base + i) ++d.vs_identity;
+  }
+  d.vs_replay = aspen::allreduce_sum(d.vs_replay);
+  d.vs_identity = aspen::allreduce_sum(d.vs_identity);
+  return d;
+}
+
+// One run of each variant (XOR is self-inverse, so the double-run tests
+// above pass for a variant that writes nothing) checked against a serial
+// replay of the same stream. Updates equal the table size, so a run
+// changes over half of the entries; requiring more than a quarter catches
+// a variant that applies nothing. The batched pure-RMA variants lose an
+// update whenever two in one batch hit the same index, so they get the 1%
+// budget and everything else must match exactly. Those collisions cluster
+// where the stream is sparse (starts(0) begins with powers of two, whose
+// low index bits coincide), so their count barely grows with the table: a
+// serial model of the batching gives 1787 lost entries at 2^16 (budget
+// 655) and 3121 at the 2^20 used here (budget 10485).
+TEST(GupsVariants, SingleRunMatchesSerialReplay) {
+  aspen::spmd(1, [] {
+    g::params p;
+    p.table_bits = 20;
+    p.updates_per_rank = 1 << 20;
+    p.batch = 64;
+    const std::vector<std::uint64_t> want = serial_replay(p, 1);
+    for (g::variant v : g::extended_variants()) {
+      g::table t(p);
+      (void)g::run_variant(v, t, p);
+      const replay_diff d = diff_against(t, want);
+      EXPECT_GT(d.vs_identity, t.size() / 4) << g::to_string(v);
+      const bool batched_rma =
+          v == g::variant::rma_promises || v == g::variant::rma_futures;
+      if (batched_rma) {
+        EXPECT_LE(d.vs_replay, t.size() / 100) << g::to_string(v);
+      } else {
+        EXPECT_EQ(d.vs_replay, 0u) << g::to_string(v);
+      }
+    }
+  });
+}
+
+// On one rank rpc_ff applies every update directly (each target is the
+// rank itself); two ranks send half of them as real fire-and-forget rpcs.
+// Owners apply every update in their own progress engine, so the result is
+// still exactly the serial replay of both ranks' streams.
+TEST(GupsVariants, RpcFfAcrossRanksMatchesSerialReplay) {
+  aspen::spmd(2, [] {
+    g::params p;
+    p.table_bits = 16;
+    p.updates_per_rank = 1 << 15;
+    p.batch = 64;
+    const std::vector<std::uint64_t> want = serial_replay(p, 2);
+    g::table t(p);
+    (void)g::run_variant(g::variant::rpc_ff, t, p);
+    const replay_diff d = diff_against(t, want);
+    EXPECT_GT(d.vs_identity, t.size() / 4);
+    EXPECT_EQ(d.vs_replay, 0u);
   });
 }
 

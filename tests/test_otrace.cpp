@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/op_scope.hpp"
 #include "core/otrace.hpp"
 
 namespace otrace = aspen::otrace;
@@ -175,13 +176,15 @@ TEST(Otrace, CurrentScopeRoutesNotesAndRestores) {
 TEST(Otrace, OpScopeNestsOntoEnclosingTrace) {
   arm(1);
   {
-    otrace::op_scope outer;
+    aspen::telemetry::op_scope outer(aspen::telemetry::op_class::rma_put,
+                                     "outer", "test");
     const std::uint64_t id = otrace::current();
     ASSERT_NE(id, 0u);  // sample_n == 1: always drawn
     {
       // A nested op (an rput issued from inside a sampled op's completion)
-      // must NOT draw its own id — it stays on the enclosing chain.
-      otrace::op_scope inner;
+      // must NOT mint its own id — it stays on the enclosing chain.
+      aspen::telemetry::op_scope inner(aspen::telemetry::op_class::rma_get,
+                                       "inner", "test");
       EXPECT_EQ(otrace::current(), id);
     }
     EXPECT_EQ(otrace::current(), id);
@@ -313,7 +316,7 @@ TEST(Otrace, StageNamesAreStableAndDistinct) {
 
 // Compiled out: ids are always 0, scopes carry no state, nothing records.
 static_assert(sizeof(otrace::scope) == 1);
-static_assert(sizeof(otrace::op_scope) == 1);
+static_assert(sizeof(aspen::telemetry::op_scope) == 1);
 
 TEST(OtraceOff, EverythingCompilesToNothing) {
   EXPECT_FALSE(otrace::enabled());

@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -46,6 +47,63 @@ struct report_base {
   ~report_base() { std::remove(wd::report_path(base, 0).c_str()); }
   [[nodiscard]] std::string rank0() const { return wd::report_path(base, 0); }
 };
+
+// The watchdog's configuration is published once through an atomic state
+// word, after which enabled() is one load and never locks. Here reader
+// threads make the process's first watchdog calls (enabled() and
+// note_progress(), which may parse ASPEN_WATCHDOG_MS lazily) while another
+// thread calls configure(): whichever wins the lock, the explicit
+// configuration must be what every thread sees once it has returned, and
+// a lazy parse must never overwrite it. Declared first so it stays the
+// first watchdog call even in a whole-binary run; the
+// test_watchdog_first_call ctest leg runs it alone with
+// ASPEN_WATCHDOG_MS=1234 (and under TSan in CI).
+TEST(WatchdogFirstCall, ConfigureWinsOverConcurrentLazyParse) {
+  if (!aspen::telemetry::compiled_in())
+    GTEST_SKIP() << "telemetry compiled out";
+  const char* env = std::getenv("ASPEN_WATCHDOG_MS");
+  if (env == nullptr || std::string(env) != "1234")
+    GTEST_SKIP() << "needs ASPEN_WATCHDOG_MS=1234 in a fresh process";
+  report_base rb("first_call");
+  constexpr int kReaders = 3;
+  constexpr std::uint64_t kConfiguredMs = 60'000;
+  std::atomic<int> ready{0};
+  std::atomic<bool> configured{false};
+  std::atomic<bool> stop{false};
+  std::atomic<int> stale{0};
+  std::vector<std::thread> readers;
+  for (int i = 0; i < kReaders; ++i) {
+    readers.emplace_back([&] {
+      ready.fetch_add(1, std::memory_order_acq_rel);
+      while (ready.load(std::memory_order_acquire) < kReaders + 1) {
+      }
+      std::uint64_t now = 1;
+      while (!stop.load(std::memory_order_acquire)) {
+        const bool after = configured.load(std::memory_order_acquire);
+        const bool on = wd::enabled();
+        wd::note_progress(++now);
+        if (after && (!on || wd::threshold_ms() != kConfiguredMs))
+          stale.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  ready.fetch_add(1, std::memory_order_acq_rel);
+  while (ready.load(std::memory_order_acquire) < kReaders + 1) {
+  }
+  wd::configure(kConfiguredMs, rb.base.c_str());
+  configured.store(true, std::memory_order_release);
+  sleep_ms(20);
+  stop.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(stale.load(), 0)
+      << "a thread saw the lazy ASPEN_WATCHDOG_MS parse after configure()";
+  EXPECT_TRUE(wd::enabled());
+  EXPECT_EQ(wd::threshold_ms(), kConfiguredMs);
+  EXPECT_EQ(wd::reports_written(), 0) << "nothing was pending";
+  wd::configure(0, nullptr);
+  EXPECT_FALSE(wd::enabled());
+}
 
 TEST(Watchdog, ReportPathNaming) {
   EXPECT_EQ(wd::report_path("out/job", 3), "out/job.rank3.health.json");
