@@ -175,32 +175,5 @@ int main() {
       aspen::bench::write_telemetry_sidecar("fig2_4_micro.telemetry.json",
                                             "fig2_4_micro", tele))
     std::cout << "telemetry sidecar: fig2_4_micro.telemetry.json\n";
-
-  // Trace phase: a short instrumented re-run per operation so the Trace
-  // Event file stays small enough to open in chrome://tracing / Perfetto.
-  if (aspen::telemetry::compiled_in()) {
-    aspen::telemetry::clear_trace();
-    aspen::telemetry::enable_tracing(true);
-    aspen::spmd(2, [] {
-      atomic_domain<std::uint64_t> ad(
-          {gex::amo_op::fadd, gex::amo_op::load, gex::amo_op::add});
-      global_ptr<std::uint64_t> gp;
-      if (rank_me() == 1) gp = new_<std::uint64_t>(0);
-      gp = broadcast(gp, 1);
-      set_version_config(
-          version_config::make(emulated_version::v2021_3_6_eager));
-      barrier();
-      if (rank_me() == 0) {
-        for (std::size_t oi = 0; oi < std::size(kOps); ++oi)
-          kOps[oi].run(gp, ad, 200);
-      }
-      barrier();
-      if (rank_me() == 1) delete_(gp);
-    });
-    aspen::telemetry::enable_tracing(false);
-    if (aspen::telemetry::write_trace_file("fig2_4_micro.trace.json"))
-      std::cout << "trace (" << aspen::telemetry::trace_event_count()
-                << " events): fig2_4_micro.trace.json\n";
-  }
   return 0;
 }

@@ -4,7 +4,7 @@
 // across N ranks under `aspen-run` and, between rounds, renders rank 0's
 // live-telemetry collector: per-rank transport gauges and disposition
 // counts, plus job-wide completion-latency percentiles per disposition and
-// the wire/progress/sendq streams. Everything displayed comes from
+// the aggregation and progress streams. Everything displayed comes from
 // telemetry::live::job_snapshot()/rank_gauges() — no sidecar files.
 //
 // Launched outside aspen-run it re-execs itself under the launcher
@@ -196,16 +196,10 @@ void render_frame(int nranks, int frame, int rounds, bool clear_screen) {
               job.lat_by_disposition(telemetry::disposition::eager));
   add_lat_row(lat, "deferred (all op classes)",
               job.lat_by_disposition(telemetry::disposition::deferred));
-  add_lat_row(lat, "wire_delivery",
-              job.lat_of(telemetry::lat_stream::wire_delivery));
-  add_lat_row(lat, "shm_delivery",
-              job.lat_of(telemetry::lat_stream::shm_delivery));
   add_lat_row(lat, "agg_batch_fill",
               job.lat_of(telemetry::lat_stream::agg_batch_fill));
   add_lat_row(lat, "progress_gap",
               job.lat_of(telemetry::lat_stream::progress_gap));
-  add_lat_row(lat, "sendq_residency",
-              job.lat_of(telemetry::lat_stream::sendq_residency));
   lat.print(std::cout);
   std::fflush(stdout);
 }

@@ -105,9 +105,6 @@
 //                          final flush at region exit; rank 0 then serves
 //                          the job-wide aggregate with no sidecar files
 //                          (unset/0 = off; clamped to 1 h)
-//   ASPEN_TELEMETRY_TRACE  base path: auto-enables tracing and writes
-//                          <base>.rank<r>.trace.json per rank at region
-//                          exit (merge with bench::merge_rank_traces)
 //   ASPEN_BENCH_SIDECARS   offnode_branch only: with live telemetry on,
 //                          non-zero also writes the per-rank sidecars plus
 //                          rank 0's <result>.live.json so the parent can
@@ -134,6 +131,9 @@
 //   ASPEN_TRACE_RING_BYTES per-rank flight-recorder ring size in bytes,
 //                          rounded down to a power-of-two slot count
 //                          (default 1 MiB, clamped to [4 KiB, 1 GiB])
+//   ASPEN_TELEMETRY_TRACE  base path <base> of the region-exit export and
+//                          the dumps, <base>.rank<r>.otrace.json (default
+//                          ASPEN_WATCHDOG_REPORT, else "aspen")
 //   ASPEN_LOG              runtime diagnostic verbosity: error, warn,
 //                          info (default), debug, or 0-3 — every line
 //                          goes to stderr as "aspen[r<rank>] <level>: ..."

@@ -1,11 +1,11 @@
 #include "benchutil/telemetry_report.hpp"
 
 #include <fstream>
-#include <functional>
 #include <ostream>
 #include <sstream>
 
 #include "benchutil/table.hpp"
+#include "core/otrace.hpp"
 #include "core/telemetry_live.hpp"
 
 namespace aspen::bench {
@@ -290,25 +290,17 @@ void print_live_telemetry_report(std::ostream& os) {
   t.print(os);
 }
 
-std::string rank_trace_path(const std::string& base, int rank) {
-  return base + ".rank" + std::to_string(rank) + ".trace.json";
-}
-
-namespace {
-
-/// Shared stitcher for the two per-rank Trace Event families (telemetry
-/// span traces and otrace flight-recorder exports): slice each rank file's
-/// traceEvents array and join them into one Perfetto-loadable object.
-int merge_rank_event_files(
-    const std::string& base, int nranks, const std::string& out_path,
-    const std::function<std::string(const std::string&, int)>& path_of) {
+int merge_rank_otraces(const std::string& base, int nranks,
+                       const std::string& out_path) {
+  // Slice each rank file's traceEvents array and join them into one
+  // Perfetto-loadable object.
   std::ofstream out(out_path);
   if (!out) return -1;
   out << "{\"traceEvents\":[";
   int merged = 0;
   bool first = true;
   for (int r = 0; r < nranks; ++r) {
-    std::ifstream f(path_of(base, r));
+    std::ifstream f(otrace::dump_path(base, r));
     if (!f) continue;
     std::ostringstream ss;
     ss << f.rdbuf();
@@ -333,24 +325,6 @@ int merge_rank_event_files(
   out << "],\"displayTimeUnit\":\"ns\",\"otherData\":{\"ranks_merged\":"
       << merged << "}}";
   return out ? merged : -1;
-}
-
-}  // namespace
-
-int merge_rank_traces(const std::string& base, int nranks,
-                      const std::string& out_path) {
-  return merge_rank_event_files(base, nranks, out_path, &rank_trace_path);
-}
-
-std::string rank_otrace_path(const std::string& base, int rank) {
-  // Must match otrace::dump_path — the endpoint's region-exit export and
-  // the crash/SIGUSR2 dumps both use that scheme.
-  return base + ".rank" + std::to_string(rank) + ".otrace.json";
-}
-
-int merge_rank_otraces(const std::string& base, int nranks,
-                       const std::string& out_path) {
-  return merge_rank_event_files(base, nranks, out_path, &rank_otrace_path);
 }
 
 }  // namespace aspen::bench

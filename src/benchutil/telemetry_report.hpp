@@ -69,13 +69,12 @@ int merge_rank_sidecars(const std::string& base, int nranks,
                         telemetry::snapshot* out);
 
 // ---------------------------------------------------------------------------
-// Live aggregation (no sidecars) and multi-rank traces.
+// Live aggregation (no sidecars) and multi-rank otrace exports.
 //
 // With ASPEN_TELEMETRY_INTERVAL_MS set, every non-zero rank streams counter
 // deltas to rank 0 over the wire (frame_kind::telemetry) and rank 0 holds
 // the job-wide merge in memory — telemetry::live::job_snapshot(). These
-// helpers render that aggregate and stitch the per-rank Trace Event files
-// written when ASPEN_TELEMETRY_TRACE is set.
+// helpers render that aggregate and stitch the per-rank otrace exports.
 // ---------------------------------------------------------------------------
 
 /// Print rank 0's live job-wide aggregate: the merged counter table plus a
@@ -83,28 +82,12 @@ int merge_rank_sidecars(const std::string& base, int nranks,
 /// after a region ends; prints a notice when live telemetry is disabled.
 void print_live_telemetry_report(std::ostream& os);
 
-/// "<base>.rank<r>.trace.json" — the per-rank trace naming scheme used by
-/// the endpoint when ASPEN_TELEMETRY_TRACE is set.
-[[nodiscard]] std::string rank_trace_path(const std::string& base, int rank);
-
-/// Stitch the per-rank Trace Event files `rank_trace_path(base, r)` for r
-/// in [0, nranks) into one Perfetto-loadable JSON at `out_path`. Events
-/// keep their offset-corrected timestamps, so spans and flow arrows from
-/// different ranks land on one aligned time axis. Returns the number of
-/// rank traces merged (missing files are skipped), or -1 if `out_path`
-/// cannot be written.
-int merge_rank_traces(const std::string& base, int nranks,
-                      const std::string& out_path);
-
-/// "<base>.rank<r>.otrace.json" — the per-rank flight-recorder export
-/// scheme (identical to otrace::dump_path, re-stated here so drivers can
-/// locate the files without linking the tracer).
-[[nodiscard]] std::string rank_otrace_path(const std::string& base, int rank);
-
-/// Stitch the per-rank otrace exports (region-exit Perfetto fragments with
-/// 's'/'f' flow events per wire hop) into one merged timeline at
-/// `out_path`, exactly like merge_rank_traces. Returns the number of rank
-/// files merged, or -1 if `out_path` cannot be written.
+/// Stitch the per-rank otrace exports `otrace::dump_path(base, r)` for r in
+/// [0, nranks) (region-exit Perfetto fragments with 's'/'f' flow events per
+/// wire hop) into one merged timeline at `out_path`. Events keep their
+/// offset-corrected timestamps, so records from different ranks land on
+/// one aligned time axis. Returns the number of rank files merged (missing
+/// files are skipped), or -1 if `out_path` cannot be written.
 int merge_rank_otraces(const std::string& base, int nranks,
                        const std::string& out_path);
 

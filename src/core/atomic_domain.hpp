@@ -288,7 +288,7 @@ class atomic_domain {
   auto fetch_op(gex::amo_op op, global_ptr<T> gp, T op1, T op2,
                 Cxs cxs) const -> detail::cx_return_t<Cxs, T> {
     check_registered(op);
-    telemetry::op_scope os(telemetry::op_class::amo, "amo_fetch", "amo");
+    telemetry::op_scope os(telemetry::op_class::amo);
     telemetry::count(telemetry::counter::amo_fetching);
     detail::rank_context& c = detail::ctx();
     detail::no_remote_cx rs;
@@ -309,7 +309,7 @@ class atomic_domain {
   auto void_op(gex::amo_op op, global_ptr<T> gp, T op1, T op2,
                Cxs cxs) const -> detail::cx_return_t<Cxs> {
     check_registered(op);
-    telemetry::op_scope os(telemetry::op_class::amo, "amo_void", "amo");
+    telemetry::op_scope os(telemetry::op_class::amo);
     telemetry::count(telemetry::counter::amo_sideeffect);
     detail::rank_context& c = detail::ctx();
     detail::no_remote_cx rs;
@@ -330,7 +330,7 @@ class atomic_domain {
   auto into_op(gex::amo_op op, global_ptr<T> gp, T op1, T op2, T* dst,
                Cxs cxs) const -> detail::cx_return_t<Cxs> {
     check_registered(op);
-    telemetry::op_scope os(telemetry::op_class::amo, "amo_into", "amo");
+    telemetry::op_scope os(telemetry::op_class::amo);
     telemetry::count(telemetry::counter::amo_nonfetching);
     detail::rank_context& c = detail::ctx();
     if (!c.ver.nonfetching_atomics)

@@ -59,6 +59,10 @@ class recycling_pool {
     }
     const std::size_t payload =
         cls < kClasses ? (cls + 1) * kGranule : bytes;
+    // Past PTRDIFF_MAX no object fits, and near SIZE_MAX the header
+    // addition would wrap and malloc a tiny block.
+    if (payload > static_cast<std::size_t>(PTRDIFF_MAX) - sizeof(block))
+      throw std::bad_alloc();
     auto* b = static_cast<block*>(std::malloc(sizeof(block) + payload));
     if (b == nullptr) throw std::bad_alloc();
     b->cls = recycle && cls < kClasses ? static_cast<std::int64_t>(cls) : -1;

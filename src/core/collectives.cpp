@@ -1,6 +1,5 @@
 #include "core/collectives.hpp"
 
-#include "core/telemetry.hpp"
 #include "net/endpoint.hpp"
 
 namespace aspen {
@@ -84,12 +83,10 @@ void arm_async_barrier_poll_wire(cell<>* c, std::uint64_t epoch) {
 }  // namespace detail
 
 void barrier() {
-  telemetry::span sp("barrier", "coll");
   detail::coll_rendezvous();
 }
 
 future<> barrier_async() {
-  telemetry::span sp("barrier_async", "coll");
   detail::rank_context& c = detail::ctx();
   detail::coll_state& cs = c.w->coll();
   const int n = c.rt->nranks();

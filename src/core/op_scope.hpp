@@ -11,9 +11,7 @@
 //     clock at all. Counters are untouched by sampling and stay exact;
 //   - otrace sampling: when ASPEN_TRACE_SAMPLE=N is on and no trace is
 //     already active, the same draw decides 1-in-N; a sampled op mints a
-//     trace id, records its inject stage and is always timed;
-//   - Trace Event spans: when tracing is enabled, the scope is also the
-//     op's "ph":"X" span.
+//     trace id, records its inject stage and is always timed.
 //
 // It nests: the previous op context and trace id are restored on exit, so
 // an op issued from inside another op's inline completion attributes
@@ -32,9 +30,8 @@ namespace aspen::telemetry {
 
 class op_scope {
  public:
-  op_scope(op_class cls, const char* name, const char* cat) noexcept
-      : span_(name, cat),
-        saved_op_(detail::tls_op()),
+  explicit op_scope(op_class cls) noexcept
+      : saved_op_(detail::tls_op()),
         saved_trace_(otrace::current()) {
     const std::uint32_t d = detail::draw();
     bool timed = d % kTimedOneIn == 0;
@@ -55,7 +52,6 @@ class op_scope {
   op_scope& operator=(const op_scope&) = delete;
 
  private:
-  span span_;  ///< the op's Trace Event slice while tracing is enabled
   detail::op_ctx saved_op_;
   std::uint64_t saved_trace_;
 };
@@ -64,7 +60,7 @@ class op_scope {
 
 class op_scope {
  public:
-  op_scope(op_class, const char*, const char*) noexcept {}
+  explicit op_scope(op_class) noexcept {}
   op_scope(const op_scope&) = delete;
   op_scope& operator=(const op_scope&) = delete;
 };

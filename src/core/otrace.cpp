@@ -186,9 +186,8 @@ void ensure_configured_locked(ot_state& s) {
       parse_sample(std::getenv("ASPEN_TRACE_SAMPLE"));
   const std::uint64_t ring_bytes =
       parse_ring_bytes(std::getenv("ASPEN_TRACE_RING_BYTES"));
-  // Dump base: share the trace base when live tracing is on, else the
-  // watchdog's report base, else "aspen" — so one job's artifacts land
-  // together.
+  // Dump/export base: ASPEN_TELEMETRY_TRACE, else the watchdog's report
+  // base, else "aspen" — so one job's artifacts land together.
   if (const char* tb = std::getenv("ASPEN_TELEMETRY_TRACE");
       tb != nullptr && *tb != '\0') {
     s.base = tb;
@@ -229,6 +228,10 @@ std::size_t fmt_hex(char* out, std::uint64_t v) noexcept {
 }
 
 struct sink {
+  /// Names only the fd: buf is written before it is read, so it stays
+  /// uninitialised (no 1 KiB clear inside a signal handler).
+  explicit sink(int f) noexcept : fd(f) {}
+
   int fd;
   char buf[1024];
   std::size_t off = 0;

@@ -12,8 +12,8 @@
 //
 //   id = (rank << 48) | local_seq
 //
-// carried across its entire causal chain: the eager AM frame (wire protocol
-// v5 adds a trace word to every am_eager body), the RTS->CTS->DATA
+// carried across its entire causal chain: the eager AM frame (a trace word
+// in every am_eager body; wire protocol v6), the RTS->CTS->DATA
 // rendezvous legs (rdzv_body.trace, then keyed by token), shm ring records,
 // agg-coalesced sub-frames, remote handler execution (reply AMs inherit the
 // id through the execute() scope), and the final cx_state fulfillment —
@@ -29,8 +29,9 @@
 // the conduit::tcp endpoint exports the same records as Perfetto spans with
 // flow events chaining every cross-rank hop (merge the per-rank files with
 // bench::merge_rank_otraces). Timestamps are absolute steady-clock
-// nanoseconds corrected by the PR 5 clock sync offset, so all ranks of one
-// job land on a single monotone timeline.
+// nanoseconds corrected by the bootstrap's clock-sync offset
+// (telemetry::set_clock_sync), so all ranks of one job land on a single
+// monotone timeline. otrace is the runtime's only per-op event recorder.
 //
 // With ASPEN_TELEMETRY compiled out the whole subsystem compiles to
 // nothing: ids are always 0, scopes and notes are empty inlines, and the

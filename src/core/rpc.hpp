@@ -130,7 +130,7 @@ template <typename Fn, typename ArgsTuple>
 void send_rpc_ff_tuple(int target, const Fn& fn, const ArgsTuple& args) {
   static_assert(shippable_callable<Fn>,
                 "rpc callables must be trivially copyable");
-  telemetry::op_scope os(telemetry::op_class::rpc, "rpc_ff", "rpc");
+  telemetry::op_scope os(telemetry::op_class::rpc);
   telemetry::count(telemetry::counter::rpc_ff_sent);
   ser_writer w(sizeof(Fn) + 64);
   write_callable(w, fn);
@@ -178,7 +178,7 @@ auto rpc(int target, Fn fn, Args&&... args) {
   using RFut = typename detail::rpc_future<R>::type;
   using RCell = typename detail::rfut_traits<RFut>::cell_t;
 
-  telemetry::op_scope os(telemetry::op_class::rpc, "rpc", "rpc");
+  telemetry::op_scope os(telemetry::op_class::rpc);
   telemetry::count(telemetry::counter::rpc_roundtrip);
   auto* c = new RCell();
   c->deps = 1;

@@ -1,9 +1,8 @@
 #include "core/telemetry.hpp"
 
-#include <cstdio>
-#include <fstream>
+#include <atomic>
+#include <chrono>
 #include <mutex>
-#include <ostream>
 #include <sstream>
 #include <vector>
 
@@ -247,116 +246,22 @@ snapshot aggregate() noexcept {
   return s;
 }
 
-// ---------------------------------------------------------------------------
-// Trace buffers
-// ---------------------------------------------------------------------------
-
 namespace {
 
-/// Per-thread event cap; beyond it events are counted as dropped rather
-/// than growing without bound (a GUPS run can issue tens of millions of
-/// operations).
-constexpr std::size_t kTraceCapPerThread = std::size_t{1} << 20;
-
-struct trace_buffer;
-
-struct trace_registry {
-  std::mutex mu;
-  std::vector<trace_buffer*> live;
-  std::vector<detail::trace_event> retired;
-  std::uint64_t dropped = 0;
-};
-
-trace_registry& treg() noexcept {
-  static trace_registry* r = new trace_registry;
-  return *r;
-}
-
-struct trace_buffer {
-  std::vector<detail::trace_event> events;
-  std::uint64_t dropped = 0;
-  std::uint32_t tid = 0;
-
-  trace_buffer() {
-    trace_registry& g = treg();
-    std::lock_guard<std::mutex> lk(g.mu);
-    g.live.push_back(this);
-  }
-  ~trace_buffer() {
-    trace_registry& g = treg();
-    std::lock_guard<std::mutex> lk(g.mu);
-    g.retired.insert(g.retired.end(), events.begin(), events.end());
-    g.dropped += dropped;
-    std::erase(g.live, this);
-  }
-};
-
-trace_buffer& tls_trace() noexcept {
-  static thread_local trace_buffer b;
-  return b;
-}
-
-// Set once by the conduit::tcp bootstrap (rank 0 stores offset 0). While
-// unset, traces keep their original process-relative timestamps so
-// single-process consumers see no change.
-std::atomic<bool> g_clock_synced{false};
+// Set once by the conduit::tcp bootstrap (rank 0 stores 0); otrace
+// subtracts it from its timestamps.
 std::atomic<std::int64_t> g_clock_offset_ns{0};
 
-std::uint64_t process_epoch_ns() noexcept {
-  static const std::uint64_t t0 = static_cast<std::uint64_t>(
+std::uint64_t steady_ns() noexcept {
+  return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+std::uint64_t process_epoch_ns() noexcept {
+  static const std::uint64_t t0 = steady_ns();
   return t0;
-}
-
-void escape_json_string(std::ostream& os, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      os << ' ';
-    } else {
-      os << c;
-    }
-  }
-}
-
-/// Event timestamp in microseconds. With clock sync in effect the
-/// process-relative tick is rebased to the absolute steady clock and
-/// corrected by this rank's estimated offset from rank 0, so every rank of
-/// one job lands on the same timeline. Absolute steady-clock microseconds
-/// (~1e11) stay well inside double's 53-bit mantissa, preserving sub-us
-/// precision.
-double event_ts_us(std::uint64_t rel_ns) noexcept {
-  if (!g_clock_synced.load(std::memory_order_relaxed))
-    return static_cast<double>(rel_ns) / 1000.0;
-  const std::int64_t abs_ns =
-      static_cast<std::int64_t>(process_epoch_ns() + rel_ns) -
-      g_clock_offset_ns.load(std::memory_order_relaxed);
-  return static_cast<double>(abs_ns) / 1000.0;
-}
-
-void write_event(std::ostream& os, const detail::trace_event& e) {
-  os << "{\"name\":\"";
-  escape_json_string(os, e.name);
-  os << "\",\"cat\":\"";
-  escape_json_string(os, e.cat);
-  os << "\",\"ph\":\"" << e.ph << "\",\"pid\":0,\"tid\":" << e.tid
-     << ",\"ts\":" << event_ts_us(e.ts_ns);
-  if (e.ph == 'X') {
-    os << ",\"dur\":" << static_cast<double>(e.dur_ns) / 1000.0;
-  } else {
-    // Flow events bind on (name, cat, id); "bp":"e" lets the finish end
-    // attach to the enclosing slice rather than requiring an exact match.
-    char idbuf[24];
-    std::snprintf(idbuf, sizeof idbuf, "0x%llx",
-                  static_cast<unsigned long long>(e.id));
-    os << ",\"id\":\"" << idbuf << "\"";
-    if (e.ph == 'f') os << ",\"bp\":\"e\"";
-  }
-  os << "}";
 }
 
 }  // namespace
@@ -368,104 +273,23 @@ std::uint64_t trace_now_ns() noexcept {
   // captured inside process_epoch_ns(), i.e. *after* any already-sampled
   // now, and the subtraction would wrap to ~2^64.
   const std::uint64_t t0 = process_epoch_ns();
-  const auto now = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-  return now - t0;
-}
-
-void trace_emit(const char* name, const char* cat, std::uint64_t ts_ns,
-                std::uint64_t dur_ns) noexcept {
-  trace_buffer& b = tls_trace();
-  if (b.events.size() >= kTraceCapPerThread) {
-    ++b.dropped;
-    return;
-  }
-  b.events.push_back({name, cat, b.tid, ts_ns, dur_ns, 'X', 0});
-}
-
-void trace_emit_flow(const char* name, const char* cat, bool begin,
-                     std::uint64_t id) noexcept {
-  trace_buffer& b = tls_trace();
-  if (b.events.size() >= kTraceCapPerThread) {
-    ++b.dropped;
-    return;
-  }
-  b.events.push_back(
-      {name, cat, b.tid, trace_now_ns(), 0, begin ? 's' : 'f', id});
+  return steady_ns() - t0;
 }
 
 }  // namespace detail
 
-void enable_tracing(bool on) noexcept {
-  if (on) process_epoch_ns();  // pin t=0 before the first span
-  detail::g_tracing.v.store(on, std::memory_order_relaxed);
-}
-
 void set_thread_rank(int rank) noexcept {
-  tls_trace().tid = rank < 0 ? 0 : static_cast<std::uint32_t>(rank);
   watchdog::set_thread_rank(rank);
   otrace::set_thread_rank(rank);
   log_set_rank(rank);
 }
 
 void set_clock_sync(std::int64_t offset_ns) noexcept {
-  process_epoch_ns();  // pin the rebase epoch before any correction
   g_clock_offset_ns.store(offset_ns, std::memory_order_relaxed);
-  g_clock_synced.store(true, std::memory_order_relaxed);
-}
-
-bool clock_synced() noexcept {
-  return g_clock_synced.load(std::memory_order_relaxed);
 }
 
 std::int64_t clock_offset_ns() noexcept {
   return g_clock_offset_ns.load(std::memory_order_relaxed);
-}
-
-void clear_trace() noexcept {
-  trace_registry& g = treg();
-  std::lock_guard<std::mutex> lk(g.mu);
-  g.retired.clear();
-  g.dropped = 0;
-  for (trace_buffer* b : g.live) {
-    b->events.clear();
-    b->dropped = 0;
-  }
-}
-
-std::size_t trace_event_count() noexcept {
-  trace_registry& g = treg();
-  std::lock_guard<std::mutex> lk(g.mu);
-  std::size_t n = g.retired.size();
-  for (const trace_buffer* b : g.live) n += b->events.size();
-  return n;
-}
-
-void write_trace(std::ostream& os) {
-  trace_registry& g = treg();
-  std::lock_guard<std::mutex> lk(g.mu);
-  os << "{\"traceEvents\":[";
-  bool first = true;
-  std::uint64_t dropped = g.dropped;
-  for (const detail::trace_event& e : g.retired) {
-    if (!first) os << ",\n";
-    first = false;
-    write_event(os, e);
-  }
-  for (const trace_buffer* b : g.live) {
-    dropped += b->dropped;
-    for (const detail::trace_event& e : b->events) {
-      if (!first) os << ",\n";
-      first = false;
-      write_event(os, e);
-    }
-  }
-  os << "],\"displayTimeUnit\":\"ns\",\"otherData\":{\"dropped_events\":"
-     << dropped << ",\"clock_synced\":"
-     << (clock_synced() ? "true" : "false")
-     << ",\"clock_offset_ns\":" << clock_offset_ns() << "}}";
 }
 
 #else  // !ASPEN_TELEMETRY_ENABLED
@@ -473,27 +297,10 @@ void write_trace(std::ostream& os) {
 snapshot local_snapshot() noexcept { return {}; }
 snapshot aggregate() noexcept { return {}; }
 
-void enable_tracing(bool) noexcept {}
 void set_thread_rank(int rank) noexcept { log_set_rank(rank); }
 void set_clock_sync(std::int64_t) noexcept {}
-bool clock_synced() noexcept { return false; }
 std::int64_t clock_offset_ns() noexcept { return 0; }
-void clear_trace() noexcept {}
-std::size_t trace_event_count() noexcept { return 0; }
-
-void write_trace(std::ostream& os) {
-  os << "{\"traceEvents\":[],\"displayTimeUnit\":\"ns\",\"otherData\":"
-        "{\"dropped_events\":0,\"clock_synced\":false,"
-        "\"clock_offset_ns\":0}}";
-}
 
 #endif  // ASPEN_TELEMETRY_ENABLED
-
-bool write_trace_file(const std::string& path) {
-  std::ofstream f(path);
-  if (!f) return false;
-  write_trace(f);
-  return static_cast<bool>(f);
-}
 
 }  // namespace aspen::telemetry

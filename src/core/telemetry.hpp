@@ -1,5 +1,5 @@
-// aspen::telemetry — runtime counters, progress-queue depth tracking, and
-// Chrome Trace Event export for the completion subsystem.
+// aspen::telemetry — runtime counters, progress-queue depth tracking and
+// latency histograms for the completion subsystem.
 //
 // The paper's claim rests on *where* a completion notification fires —
 // eagerly at the initiation site versus deferred through the progress
@@ -20,15 +20,15 @@
 //     use and merge into a retired aggregate at thread exit, so
 //     telemetry::aggregate() works both during and after an spmd() run;
 //   - telemetry::snapshot is a plain value type with operator- for
-//     interval deltas, and to_json() for the benchmark sidecar files;
-//   - telemetry::span is a scoped RAII Trace Event emitter; events collect
-//     in per-thread buffers and telemetry::write_trace() emits
-//     chrome://tracing / Perfetto-loadable JSON.
+//     interval deltas, and to_json() for the benchmark sidecar files.
+//
+// Per-op events ("where did this op's time go") belong to otrace
+// (core/otrace.hpp): its sampled ring is the runtime's only event recorder.
 //
 // The whole subsystem sits behind the ASPEN_TELEMETRY CMake option. When
-// the option is OFF every count()/note_*() call and span constructor
-// compiles to nothing, `record` is an empty type (verified by a
-// static_assert below), and snapshots read as all-zero.
+// the option is OFF every count()/note_*() call compiles to nothing,
+// `record` is an empty type (verified by a static_assert below), and
+// snapshots read as all-zero.
 //
 // This header is deliberately dependency-free (no core/runtime includes)
 // so every layer — gex substrate, progress engine, completion engine,
@@ -41,7 +41,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <type_traits>
 
@@ -413,74 +412,23 @@ inline void note_latency(lat_stream s, std::uint64_t ns) noexcept {
 /// max. Safe to call after spmd() returns.
 [[nodiscard]] snapshot aggregate() noexcept;
 
-// ---------------------------------------------------------------------------
-// Trace Event export (chrome://tracing / Perfetto)
-// ---------------------------------------------------------------------------
-
-namespace detail {
-#if ASPEN_TELEMETRY_ENABLED
-/// Span-collection switch (enable_tracing). Constant-initialised, so the
-/// inline tracing_enabled() below is one relaxed load.
-inline own_line<std::atomic<bool>> g_tracing;
-#endif
-}  // namespace detail
-
-/// Runtime switch for span collection. Off by default; flipping it on/off
-/// brackets the region of interest so hot loops pay only a relaxed load
-/// when idle.
-void enable_tracing(bool on) noexcept;
-[[nodiscard]] inline bool tracing_enabled() noexcept {
-#if ASPEN_TELEMETRY_ENABLED
-  return detail::g_tracing.v.load(std::memory_order_relaxed);
-#else
-  return false;
-#endif
-}
-
-/// Tag the calling thread with its rank; emitted as the Trace Event `tid`
-/// so Perfetto groups spans per rank. Called by the spmd launcher.
+/// Tag the calling thread with its rank (watchdog, otrace and log
+/// attribution). Called by the spmd launcher.
 void set_thread_rank(int rank) noexcept;
 
 /// Record this process's steady-clock offset relative to the job's rank 0
 /// (local_now_ns - rank0_now_ns, estimated by the conduit::tcp bootstrap's
-/// RTT-midpoint probes). Once set, write_trace emits *absolute*,
-/// offset-corrected timestamps instead of process-relative ones, so the
-/// per-rank trace files of one job merge onto a single shared timeline.
+/// RTT-midpoint probes). otrace subtracts it from every record's timestamp,
+/// so the per-rank exports of one job merge onto a single shared timeline.
 void set_clock_sync(std::int64_t offset_ns) noexcept;
-[[nodiscard]] bool clock_synced() noexcept;
 [[nodiscard]] std::int64_t clock_offset_ns() noexcept;
-
-/// Discard all collected events (retired and live buffers).
-void clear_trace() noexcept;
-
-/// Number of events currently held (retired + live).
-[[nodiscard]] std::size_t trace_event_count() noexcept;
-
-/// Emit the collected events as a Trace Event JSON document
-/// ({"traceEvents": [...]}, "X" complete events, microsecond timestamps).
-void write_trace(std::ostream& os);
-
-/// write_trace to a file; returns false if the file cannot be opened.
-bool write_trace_file(const std::string& path);
 
 namespace detail {
 
-struct trace_event {
-  const char* name;  // string literal owned by the caller
-  const char* cat;
-  std::uint32_t tid;
-  std::uint64_t ts_ns;   // steady-clock, process-relative
-  std::uint64_t dur_ns;
-  char ph;            // 'X' complete span, 's'/'f' flow start/finish
-  std::uint64_t id;   // flow binding id (0 for spans)
-};
-
 #if ASPEN_TELEMETRY_ENABLED
+/// Steady-clock nanoseconds since the process's first telemetry clock
+/// read: the clock of every latency stamp and watchdog timestamp.
 [[nodiscard]] std::uint64_t trace_now_ns() noexcept;
-void trace_emit(const char* name, const char* cat, std::uint64_t ts_ns,
-                std::uint64_t dur_ns) noexcept;
-void trace_emit_flow(const char* name, const char* cat, bool begin,
-                     std::uint64_t id) noexcept;
 
 /// The op currently being issued on this thread (telemetry::op_scope in
 /// core/op_scope.hpp). The completion engine (cx_state.hpp) reads it at
@@ -622,68 +570,6 @@ struct op_capture {
 
 inline void note_op_eager() noexcept {}
 inline void note_progress_tick() noexcept {}
-
-#endif
-
-/// Emit a Perfetto flow event at the current time: `ph:"s"` (begin=true)
-/// starts a flow arrow, `ph:"f"` (begin=false) terminates it. The two ends
-/// bind on (name, cat, id) across ranks in a merged trace — the conduit
-/// uses this to draw each wire message from its send_am site to its staged
-/// delivery on the receiver. No-op unless tracing is enabled (and compiled
-/// in); name/cat must be string literals.
-inline void trace_flow(const char* name, const char* cat, bool begin,
-                       std::uint64_t id) noexcept {
-#if ASPEN_TELEMETRY_ENABLED
-  if (tracing_enabled()) detail::trace_emit_flow(name, cat, begin, id);
-#else
-  (void)name;
-  (void)cat;
-  (void)begin;
-  (void)id;
-#endif
-}
-
-#if ASPEN_TELEMETRY_ENABLED
-
-/// Scoped Trace Event span: records a complete ("ph":"X") event covering
-/// the constructor-to-destructor interval, iff tracing was enabled at
-/// construction. `name`/`cat` must be string literals (or otherwise outlive
-/// the trace buffers).
-class span {
- public:
-  explicit span(const char* name, const char* cat = "aspen") noexcept {
-    if (tracing_enabled()) {
-      name_ = name;
-      cat_ = cat;
-      start_ns_ = detail::trace_now_ns();
-    }
-  }
-  ~span() {
-    if (name_ != nullptr)
-      detail::trace_emit(name_, cat_, start_ns_,
-                         detail::trace_now_ns() - start_ns_);
-  }
-  span(const span&) = delete;
-  span& operator=(const span&) = delete;
-
- private:
-  const char* name_ = nullptr;
-  const char* cat_ = nullptr;
-  std::uint64_t start_ns_ = 0;
-};
-
-#else
-
-/// Compiled-out span: an empty object the optimizer deletes entirely.
-class span {
- public:
-  explicit span(const char*, const char* = "aspen") noexcept {}
-  span(const span&) = delete;
-  span& operator=(const span&) = delete;
-};
-
-static_assert(sizeof(span) == 1,
-              "with ASPEN_TELEMETRY off spans must carry no state");
 
 #endif
 

@@ -31,10 +31,7 @@ constexpr const char* kLatStreamNames[] = {
     "amo_deferred",
     "whenall_eager",
     "whenall_deferred",
-    "wire_delivery",
     "progress_gap",
-    "sendq_residency",
-    "shm_delivery",
     "agg_batch_fill",
 };
 static_assert(std::size(kLatStreamNames) == kLatStreamCount,
@@ -76,7 +73,7 @@ static_assert(stream_of(op_class::rma_put, disposition::eager) ==
 static_assert(stream_of(op_class::when_all, disposition::deferred) ==
               lat_stream::whenall_deferred);
 static_assert(2 * kOpClassCount ==
-              static_cast<std::size_t>(lat_stream::wire_delivery));
+              static_cast<std::size_t>(lat_stream::progress_gap));
 
 }  // namespace
 

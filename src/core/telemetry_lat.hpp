@@ -53,13 +53,16 @@ namespace aspen::telemetry {
 
 namespace detail {
 
-/// A word on a cache line of its own (alignas pads the struct to 64
-/// bytes). For the configuration words that every op or every progress()
-/// call loads and almost nothing writes: an unrelated global that another
-/// thread keeps writing must not share their line, or each of its writes
-/// turns the next load into a coherence miss.
+/// A word on a 128-byte line pair of its own (alignas pads the struct to
+/// 128 bytes). For the configuration words that every op or every
+/// progress() call loads and almost nothing writes: an unrelated global
+/// that another thread keeps writing must not share their line, or each of
+/// its writes turns the next load into a coherence miss. 64 bytes is not
+/// enough on x86: the L2 spatial prefetcher moves lines in aligned 128-byte
+/// pairs, and a benchmark's malloc counter on the other half of
+/// g_sample's pair added ~50 ns per local op (4-vCPU Xeon VM).
 template <typename T>
-struct alignas(64) own_line {
+struct alignas(128) own_line {
   T v{};
 };
 
@@ -90,7 +93,7 @@ enum class disposition : std::size_t {
 
 /// Every latency histogram stream. The first 2*kOpClassCount entries are
 /// the op-class x disposition grid (stream_of below); the remainder are
-/// the transport/progress streams.
+/// the progress and aggregation streams.
 enum class lat_stream : std::size_t {
   rma_put_eager,
   rma_put_deferred,
@@ -102,11 +105,8 @@ enum class lat_stream : std::size_t {
   amo_deferred,
   whenall_eager,
   whenall_deferred,
-  wire_delivery,    ///< send_am -> staged in-order delivery (rank0-clock)
-  progress_gap,     ///< inter-arrival gap between progress() calls, per thread
-  sendq_residency,  ///< peer send queue busy episode: first byte -> drained
-  shm_delivery,     ///< send_am -> delivery over the shared-memory rings
-  agg_batch_fill,   ///< aggregation batch age: first frame queued -> flush
+  progress_gap,    ///< inter-arrival gap between progress() calls, per thread
+  agg_batch_fill,  ///< aggregation batch age: first frame queued -> flush
   kCount,
 };
 

@@ -87,13 +87,6 @@ void encode_update(const snapshot& delta, const gauges& g,
 /// interval_ms() != 0.
 [[nodiscard]] bool enabled() noexcept;
 
-/// ASPEN_TELEMETRY_TRACE: when set, the conduit::tcp endpoint enables
-/// tracing at bootstrap and every rank writes an offset-corrected trace to
-/// "<base>.rank<r>.trace.json" at each region exit (see
-/// bench::merge_rank_traces for stitching them into one timeline).
-/// Returns nullptr when unset.
-[[nodiscard]] const char* trace_base() noexcept;
-
 // ---------------------------------------------------------------------------
 // Producer side (every rank; conduit::tcp pushes these over the wire)
 // ---------------------------------------------------------------------------

@@ -216,7 +216,6 @@ void engine::send(runtime& rt, int target, am_message msg) {
   if (cfg_.backpressure && target != src) {
     const std::size_t cap = rt.cfg().am_inbox_capacity;
     if (tgt.inbox.approx_size() >= cap) {
-      telemetry::span sp("perturb_backpressure", "perturb");
       snd.bp_waits.fetch_add(1, std::memory_order_relaxed);
       telemetry::count(telemetry::counter::perturb_backpressure);
       std::uint32_t spins = 0;
@@ -309,10 +308,7 @@ std::size_t engine::poll(runtime& rt, int me) {
   // Phase 4: execute. Handlers may send AMs and trigger nested polls; all
   // state they can touch (inbox, held) is consistent at this point, and
   // `ready` is ours alone.
-  if (!ready.empty()) {
-    telemetry::span sp("perturb_deliver", "perturb");
-    for (auto& env : ready) env.msg.execute(rt, me);
-  }
+  for (auto& env : ready) env.msg.execute(rt, me);
   return ready.size();
 }
 

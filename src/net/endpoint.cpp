@@ -150,8 +150,6 @@ endpoint::endpoint(int rank, int nranks, gex::net_config cfg,
     peer& p = peer_of(r);
     if (p.sock.valid()) io_.attach(r, p.sock.get());
   }
-  if (telemetry::live::trace_base() != nullptr)
-    telemetry::enable_tracing(true);
   otrace::install_crash_handlers();
   if (telemetry::watchdog::enabled()) {
     telemetry::watchdog::install_signal_handler();
@@ -446,7 +444,6 @@ void endpoint::clock_sync_with_rank0() {
       best_theta = (t0 + rtt / 2) - remote;
     }
   }
-  clock_offset_ns_ = best_theta;
   telemetry::set_clock_sync(best_theta);
 }
 
@@ -471,23 +468,18 @@ void endpoint::serve_clock_probes(int fd) {
 // ---------------------------------------------------------------------------
 
 void endpoint::flush_locked(peer& p, int target) {
-  // Residency stamp: the queue went non-empty at (or just before) this
-  // flush attempt. Cleared below once the socket accepts the whole queue;
-  // the elapsed time is the sendq_residency latency sample and the
-  // watchdog's stall probe.
-  if (telemetry::compiled_in() && p.out_busy_since_ns == 0 &&
-      p.out_off < p.out.size())
-    p.out_busy_since_ns = mono_ns();
   io_.flush(target, p.out, p.out_off);
   if (p.out_off == p.out.size()) {
     p.out.clear();
     p.out_off = 0;
-    if (telemetry::compiled_in() && p.out_busy_since_ns != 0) {
-      telemetry::note_latency(telemetry::lat_stream::sendq_residency,
-                              mono_ns() - p.out_busy_since_ns);
-      p.out_busy_since_ns = 0;
-    }
-  } else if (p.out_off >= (std::size_t{1} << 20)) {
+    p.out_busy_since_ns = 0;
+    return;
+  }
+  // The kernel refused bytes: stamp the start of the backlog for the
+  // watchdog's sendq-stall probe. A flush that drains reads no clock.
+  if (telemetry::compiled_in() && p.out_busy_since_ns == 0)
+    p.out_busy_since_ns = mono_ns();
+  if (p.out_off >= (std::size_t{1} << 20)) {
     // Keep the resident queue proportional to the unsent tail.
     p.out.erase(p.out.begin(),
                 p.out.begin() + static_cast<std::ptrdiff_t>(p.out_off));
@@ -535,7 +527,6 @@ void endpoint::shm_agg_flush_locked(peer& p, int target,
   shm_rec_hdr bh;
   std::memcpy(&bh, p.shm_agg.data(), sizeof bh);
   bh.handler_delta = frames;
-  bh.send_ns = 0;
   bh.flags = kShmBatch;
   bh.len = static_cast<std::uint32_t>(p.shm_agg.size());
   if (p.shm_out_msg.try_push2(&bh, sizeof bh, p.shm_agg.data(),
@@ -575,7 +566,6 @@ void endpoint::shm_agg_flush_locked(peer& p, int target,
       h.seq = sr.seq;
       eager_body eb;
       eb.handler_delta = sr.handler_delta;
-      eb.send_ns = sr.send_ns;
       eb.trace = sr.trace;
       body.resize(kEagerPrefixBytes + sr.len);
       std::memcpy(body.data(), &eb, sizeof eb);
@@ -639,7 +629,6 @@ void endpoint::enqueue_frame(peer& p, int target, const frame_header& hdr,
 }
 
 void endpoint::send_am(gex::runtime& rt, int target, gex::am_message msg) {
-  telemetry::span sp("wire_send", "net");
   peer& p = peer_of(target);
   if (!p.sock.valid() || p.departed) {
     aspen::fatal(
@@ -653,16 +642,6 @@ void endpoint::send_am(gex::runtime& rt, int target, gex::am_message msg) {
   sent_to_[static_cast<std::size_t>(target)].fetch_add(
       1, std::memory_order_relaxed);
 
-  // Send timestamp in rank 0's clock base, so the receiver can compute
-  // wire latency by subtracting its own normalized clock. Always written
-  // (0 when telemetry is compiled out) so the frame layout never varies
-  // by build configuration.
-  const std::uint64_t send_ns =
-      telemetry::compiled_in()
-          ? static_cast<std::uint64_t>(static_cast<std::int64_t>(mono_ns()) -
-                                       clock_offset_ns_)
-          : 0;
-
   if (sendq_max_ != 0) park_sendq(rt, p, target);
 
   std::lock_guard<std::mutex> lk(p.mu);
@@ -671,7 +650,6 @@ void endpoint::send_am(gex::runtime& rt, int target, gex::am_message msg) {
   // wire_deliver on the receiver records the same id (see process_frame).
   const std::uint64_t trace = msg.trace();
   const std::uint64_t fid = flow_id(rank_, target, seq);
-  telemetry::trace_flow("wire_msg", "net", /*begin=*/true, fid);
 
   // Shared-memory fast path: same-host peer with a wired ring pair and an
   // shm region active. The seq is assigned under p.mu regardless of which
@@ -683,7 +661,6 @@ void endpoint::send_am(gex::runtime& rt, int target, gex::am_message msg) {
     shm_rec_hdr rh;
     rh.seq = seq;
     rh.handler_delta = delta;
-    rh.send_ns = send_ns;
     rh.trace = trace;
     rh.len = static_cast<std::uint32_t>(len);
     // Aggregating path: stage the record into the peer's shm batch; it
@@ -757,7 +734,6 @@ void endpoint::send_am(gex::runtime& rt, int target, gex::am_message msg) {
     h.seq = seq;
     eager_body eb;
     eb.handler_delta = delta;
-    eb.send_ns = send_ns;
     eb.trace = trace;
     std::vector<std::byte> body(kEagerPrefixBytes + len);
     std::memcpy(body.data(), &eb, sizeof eb);
@@ -790,7 +766,6 @@ void endpoint::send_am(gex::runtime& rt, int target, gex::am_message msg) {
     rb.token = token;
     rb.handler_delta = delta;
     rb.total_len = len;
-    rb.send_ns = send_ns;
     rb.trace = trace;
     otrace::note_id(trace, otrace::stage::wire_rts, fid);
     frame_header h{};
@@ -913,8 +888,8 @@ std::size_t endpoint::pump_shm_peer(gex::runtime& rt, int rank) {
                             rank, q + sizeof sr, sr.len);
         msg.set_trace(sr.trace);
         p.staged.emplace(sr.seq,
-                         staged_am{std::move(msg), sr.send_ns,
-                                   flow_id(rank, rank_, sr.seq), true});
+                         staged_am{std::move(msg),
+                                   flow_id(rank, rank_, sr.seq)});
         q += sizeof sr + sr.len;
         --remaining;
         ++work;
@@ -945,8 +920,7 @@ std::size_t endpoint::pump_shm_peer(gex::runtime& rt, int rank) {
                           rank, payload.data(), payload.size());
       msg.set_trace(rh.trace);
       p.staged.emplace(rh.seq,
-                       staged_am{std::move(msg), rh.send_ns,
-                                 flow_id(rank, rank_, rh.seq), true});
+                       staged_am{std::move(msg), flow_id(rank, rank_, rh.seq)});
     } else {
       if (sz != sizeof rh + rh.len) {
         aspen::fatal(
@@ -958,8 +932,7 @@ std::size_t endpoint::pump_shm_peer(gex::runtime& rt, int rank) {
                           rank, rec.data() + sizeof rh, rh.len);
       msg.set_trace(rh.trace);
       p.staged.emplace(rh.seq,
-                       staged_am{std::move(msg), rh.send_ns,
-                                 flow_id(rank, rank_, rh.seq), true});
+                       staged_am{std::move(msg), flow_id(rank, rank_, rh.seq)});
     }
     ++work;
   }
@@ -1045,8 +1018,8 @@ void endpoint::process_frame(int rank, frame&& f) {
                           rank, f.payload.data() + kEagerPrefixBytes, len);
       msg.set_trace(eb.trace);
       p.staged.emplace(f.hdr.seq,
-                       staged_am{std::move(msg), eb.send_ns,
-                                 flow_id(rank, rank_, f.hdr.seq), false});
+                       staged_am{std::move(msg),
+                                 flow_id(rank, rank_, f.hdr.seq)});
       break;
     }
     case frame_kind::am_rts: {
@@ -1060,7 +1033,6 @@ void endpoint::process_frame(int rank, frame&& f) {
       in.seq = f.hdr.seq;
       in.handler_delta = rb.handler_delta;
       in.total_len = rb.total_len;
-      in.send_ns = rb.send_ns;
       in.trace = rb.trace;
       p.rdzv_in.emplace(rb.token, in);
       // The RTS->CTS turn: the exporter salts this aux into the rts flow's
@@ -1112,10 +1084,8 @@ void endpoint::process_frame(int rank, frame&& f) {
       // salt.
       p.staged.emplace(
           it->second.seq,
-          staged_am{std::move(msg), it->second.send_ns,
-                    flow_id(rank, rank_, it->second.seq) ^
-                        otrace::kEdgeSaltData,
-                    false});
+          staged_am{std::move(msg), flow_id(rank, rank_, it->second.seq) ^
+                                        otrace::kEdgeSaltData});
       p.rdzv_in.erase(it);
       break;
     }
@@ -1183,22 +1153,8 @@ std::size_t endpoint::release_staged(gex::runtime& rt, int rank) {
   std::size_t released = 0;
   auto it = p.staged.begin();
   while (it != p.staged.end() && it->first == p.next_deliver_seq) {
-    telemetry::span sp("wire_deliver", "net");
-    telemetry::trace_flow("wire_msg", "net", /*begin=*/false,
-                          flow_id(rank, rank_, it->first));
     otrace::note_id(it->second.msg.trace(), otrace::stage::wire_deliver,
                     it->second.edge);
-    if (telemetry::compiled_in() && it->second.send_ns != 0) {
-      // Both clocks are rank-0-normalized; clamp at 0 against residual
-      // offset-estimation error on sub-microsecond hops.
-      const auto now_norm = static_cast<std::int64_t>(mono_ns()) -
-                            clock_offset_ns_;
-      const auto sent = static_cast<std::int64_t>(it->second.send_ns);
-      telemetry::note_latency(
-          it->second.via_shm ? telemetry::lat_stream::shm_delivery
-                             : telemetry::lat_stream::wire_delivery,
-          now_norm > sent ? static_cast<std::uint64_t>(now_norm - sent) : 0);
-    }
     rt.deliver_from_wire(rank_, std::move(it->second.msg));
     delivered_from_[static_cast<std::size_t>(rank)].fetch_add(
         1, std::memory_order_relaxed);
@@ -1407,10 +1363,6 @@ void endpoint::end_region(const progress_fn& progress) {
   // Quiescent: no counted frame is in flight anywhere, so the telemetry
   // final flush below is the only remaining wire traffic of this region.
   finish_region_telemetry(progress);
-  if (const char* tb = telemetry::live::trace_base()) {
-    (void)telemetry::write_trace_file(std::string(tb) + ".rank" +
-                                      std::to_string(rank_) + ".trace.json");
-  }
   // Region-exit otrace export: every rank writes its flight-recorder ring
   // as a Perfetto fragment; bench::merge_rank_otraces (or `cat` plus a
   // JSON array wrapper) joins them into one cross-rank timeline.

@@ -116,13 +116,6 @@ class endpoint final : public gex::wire_transport {
   /// Instantaneous transport gauges for the live-telemetry plane.
   [[nodiscard]] telemetry::live::gauges live_gauges() const;
 
-  /// Estimated steady-clock offset of this rank versus rank 0
-  /// (local - rank0, nanoseconds), measured by the bootstrap's RTT-midpoint
-  /// probes. 0 on rank 0 and in single-rank jobs.
-  [[nodiscard]] std::int64_t clock_offset_ns() const noexcept {
-    return clock_offset_ns_;
-  }
-
   // -- collective support (called from the rank thread only) ---------------
 
   /// All-to-all exchange of opaque byte strings among `members` (a sorted
@@ -175,21 +168,16 @@ class endpoint final : public gex::wire_transport {
     std::uint64_t seq = 0;
     std::uint64_t handler_delta = 0;
     std::uint64_t total_len = 0;
-    std::uint64_t send_ns = 0;  ///< from the RTS; rank-0-normalized
-    std::uint64_t trace = 0;    ///< otrace id from the RTS (0 unsampled)
+    std::uint64_t trace = 0;  ///< otrace id from the RTS (0 unsampled)
   };
 
-  /// An in-order delivery slot: the decoded AM plus the sender's
-  /// rank-0-normalized send timestamp (0 when untimed), so release can
-  /// record wire send -> staged-delivery latency.
+  /// An in-order delivery slot: the decoded AM plus its otrace wire edge
+  /// id for the release's wire_deliver record — the message's flow id,
+  /// pre-salted with kEdgeSaltData for rendezvous deliveries so the 'f'
+  /// flow event pairs with the DATA leg's 's'.
   struct staged_am {
     gex::am_message msg;
-    std::uint64_t send_ns = 0;
-    /// otrace wire edge id for the release's wire_deliver record: the
-    /// message's flow id, pre-salted with kEdgeSaltData for rendezvous
-    /// deliveries so the 'f' flow event pairs with the DATA leg's 's'.
     std::uint64_t edge = 0;
-    bool via_shm = false;  ///< arrived over the shm ring (not the socket)
   };
 
   struct peer {
@@ -203,9 +191,9 @@ class endpoint final : public gex::wire_transport {
     mutable std::mutex mu;
     std::vector<std::byte> out;  ///< queued wire bytes
     std::size_t out_off = 0;     ///< consumed prefix of `out`
-    /// Local steady-clock time the queue last went non-empty (0 while
-    /// drained). Feeds the sendq_residency latency stream and the
-    /// watchdog's sendq-stall probe.
+    /// Local steady-clock time of the first flush the kernel refused
+    /// bytes of, since the queue last drained (0 while drained). Read by
+    /// the watchdog's sendq-stall probe.
     std::uint64_t out_busy_since_ns = 0;
     std::uint64_t next_send_seq = 0;
     std::uint32_t next_token = 1;
@@ -250,7 +238,6 @@ class endpoint final : public gex::wire_transport {
   struct shm_rec_hdr {
     std::uint64_t seq = 0;
     std::uint64_t handler_delta = 0;
-    std::uint64_t send_ns = 0;
     std::uint64_t trace = 0;  ///< otrace id (0 unsampled); always carried
     std::uint32_t flags = 0;
     std::uint32_t len = 0;
@@ -270,8 +257,9 @@ class endpoint final : public gex::wire_transport {
                      int exchange_listen_fd);
   peer& peer_of(int rank) { return *peers_[static_cast<std::size_t>(rank)]; }
 
-  /// Rank > 0: estimate clock_offset_ns_ against rank 0 over the (still
-  /// blocking) mesh socket during bootstrap.
+  /// Rank > 0: estimate this rank's steady-clock offset against rank 0
+  /// over the (still blocking) mesh socket during bootstrap and hand it to
+  /// telemetry::set_clock_sync (otrace's timeline alignment).
   void clock_sync_with_rank0();
   /// Rank 0: answer one higher rank's bootstrap clock probes.
   void serve_clock_probes(int fd);
@@ -378,7 +366,6 @@ class endpoint final : public gex::wire_transport {
   /// aggregate (a stray push would reach its collector but not the frozen
   /// sender totals, or vice versa). Cleared after begin_region's barrier.
   bool telemetry_final_sent_ = false;
-  std::int64_t clock_offset_ns_ = 0;
 };
 
 }  // namespace aspen::net

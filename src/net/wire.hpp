@@ -16,13 +16,11 @@
 //   ident          first frame on every mesh socket; src names the
 //                  connecting rank. Empty payload.
 //   am_eager       one complete active message: u64 handler delta, u64
-//                  send timestamp (sender steady-clock ns normalized to
-//                  rank 0's clock base; 0 when untimed), u64 otrace trace
-//                  id (0 when the op is unsampled; protocol v5), then the
+//                  otrace trace id (0 when the op is unsampled), then the
 //                  AM payload bytes. seq orders it per (src -> dst).
 //   am_rts         rendezvous request-to-send for an AM whose payload
 //                  exceeds eager_max. Payload: rdzv_body (token, handler
-//                  delta, total payload length, send timestamp, trace id).
+//                  delta, total payload length, trace id).
 //                  seq is the *message's* delivery slot; the data frame
 //                  inherits it. The CTS/DATA legs carry no trace word —
 //                  both sides key the trace by the rendezvous token.
@@ -64,7 +62,7 @@
 namespace aspen::net {
 
 inline constexpr std::uint16_t kMagic = 0xA59E;
-inline constexpr std::uint32_t kProtocolVersion = 5;
+inline constexpr std::uint32_t kProtocolVersion = 6;
 
 enum class frame_kind : std::uint16_t {
   hello = 1,
@@ -119,19 +117,17 @@ struct rdzv_body {
   std::uint32_t pad = 0;
   std::uint64_t handler_delta = 0;
   std::uint64_t total_len = 0;
-  std::uint64_t send_ns = 0;  ///< sender clock, rank-0-normalized; 0 untimed
-  std::uint64_t trace = 0;    ///< otrace trace id; 0 when unsampled
+  std::uint64_t trace = 0;  ///< otrace trace id; 0 when unsampled
 };
 static_assert(std::is_trivially_copyable_v<rdzv_body>);
 
 /// The fixed am_eager body prefix preceding the AM payload bytes
-/// (protocol v5: handler delta, send timestamp, trace id).
+/// (protocol v6: handler delta, trace id).
 struct eager_body {
   std::uint64_t handler_delta = 0;
-  std::uint64_t send_ns = 0;
   std::uint64_t trace = 0;
 };
-static_assert(sizeof(eager_body) == 24);
+static_assert(sizeof(eager_body) == 16);
 static_assert(std::is_trivially_copyable_v<eager_body>);
 
 inline constexpr std::size_t kEagerPrefixBytes = sizeof(eager_body);

@@ -72,6 +72,20 @@ TEST(RecyclingPool, OversizeRequestsFallBackToMalloc) {
   EXPECT_EQ(pool.cached_blocks(), 0u);  // too large to cache
 }
 
+TEST(RecyclingPool, HugeRequestThrowsInsteadOfWrapping) {
+  detail::recycling_pool pool;
+  // sizeof(header) + SIZE_MAX wraps to a few bytes; it must not succeed.
+  EXPECT_THROW((void)pool.allocate(SIZE_MAX, /*recycle=*/true),
+               std::bad_alloc);
+  EXPECT_THROW((void)pool.allocate(SIZE_MAX - 8, /*recycle=*/false),
+               std::bad_alloc);
+  // No object can exceed PTRDIFF_MAX bytes either.
+  EXPECT_THROW((void)pool.allocate(static_cast<std::size_t>(PTRDIFF_MAX),
+                                   /*recycle=*/true),
+               std::bad_alloc);
+  EXPECT_EQ(pool.fresh_count(), 0u);
+}
+
 TEST(RecyclingPool, FlagFlipMidstreamIsSafe) {
   detail::recycling_pool pool;
   void* a = pool.allocate(64, true);   // pool-tagged

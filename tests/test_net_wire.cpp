@@ -138,13 +138,13 @@ TEST(NetWire, TornOneByteFeedReassembles) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace-context codec (wire protocol v5: the otrace word in every AM body).
+// Trace-context codec (wire protocol v6: the otrace word in every AM body;
+// no send timestamp since v6).
 // ---------------------------------------------------------------------------
 
 TEST(NetWire, EagerPrefixRoundTripsThroughTornFeed) {
   net::eager_body in;
   in.handler_delta = 0x1234;
-  in.send_ns = 987654321;
   in.trace = (std::uint64_t{3} << 48) | 77;  // rank 3, seq 77
   const auto user = bytes_of("payload after the prefix");
   std::vector<std::byte> body(net::kEagerPrefixBytes + user.size());
@@ -168,7 +168,6 @@ TEST(NetWire, EagerPrefixRoundTripsThroughTornFeed) {
   ASSERT_TRUE(net::decode_eager_prefix(got[0].payload.data(),
                                        got[0].payload.size(), &out));
   EXPECT_EQ(out.handler_delta, in.handler_delta);
-  EXPECT_EQ(out.send_ns, in.send_ns);
   EXPECT_EQ(out.trace, in.trace);
   EXPECT_EQ(got[0].payload.size() - net::kEagerPrefixBytes, user.size());
   EXPECT_EQ(std::memcmp(got[0].payload.data() + net::kEagerPrefixBytes,
@@ -177,8 +176,11 @@ TEST(NetWire, EagerPrefixRoundTripsThroughTornFeed) {
 }
 
 TEST(NetWire, EagerPrefixRejectsRuntPayload) {
-  // A zero-length AM still carries the full 24-byte prefix; anything
-  // shorter is a runt and must be rejected, not sliced.
+  // A zero-length AM still carries the full 16-byte v6 prefix (handler
+  // delta, trace id); anything shorter is a runt and must be rejected, not
+  // sliced.
+  EXPECT_EQ(net::kProtocolVersion, 6u);
+  EXPECT_EQ(net::kEagerPrefixBytes, 16u);
   net::eager_body full{};
   std::vector<std::byte> body(net::kEagerPrefixBytes);
   std::memcpy(body.data(), &full, sizeof full);
@@ -194,7 +196,6 @@ TEST(NetWire, RdzvBodyRoundTripsAndRejectsSizeMismatch) {
   in.token = 41;
   in.handler_delta = 0xBEEF;
   in.total_len = std::uint64_t{1} << 33;
-  in.send_ns = 123456789;
   in.trace = (std::uint64_t{250} << 48) | 0xFFFFFFFFFFFFull;
   std::vector<std::byte> p(sizeof in);
   std::memcpy(p.data(), &in, sizeof in);
@@ -204,11 +205,12 @@ TEST(NetWire, RdzvBodyRoundTripsAndRejectsSizeMismatch) {
   EXPECT_EQ(out.token, in.token);
   EXPECT_EQ(out.handler_delta, in.handler_delta);
   EXPECT_EQ(out.total_len, in.total_len);
-  EXPECT_EQ(out.send_ns, in.send_ns);
   EXPECT_EQ(out.trace, in.trace);
 
-  // An RTS body is exactly sizeof(rdzv_body) — prefixes and trailing bytes
-  // are both protocol errors (a v4 sender's 32-byte body lands here).
+  // An RTS body is exactly sizeof(rdzv_body), 32 bytes in v6 — prefixes
+  // and trailing bytes are both protocol errors (a v5 sender's 40-byte
+  // body lands here).
+  EXPECT_EQ(sizeof(net::rdzv_body), 32u);
   for (std::size_t len = 0; len < p.size(); ++len)
     EXPECT_FALSE(net::decode_rdzv_body(p.data(), len, &out));
   p.push_back(std::byte{0});

@@ -22,14 +22,14 @@ namespace otrace = aspen::otrace;
 
 namespace {
 
+#if ASPEN_TELEMETRY_ENABLED
+
 std::string slurp(const std::string& path) {
   std::ifstream in(path);
   std::stringstream ss;
   ss << in.rdbuf();
   return ss.str();
 }
-
-#if ASPEN_TELEMETRY_ENABLED
 
 /// Reset to a known state: sampling 1-in-1, a small ring, fresh decision
 /// stream, no active trace, empty recorder.
@@ -176,15 +176,13 @@ TEST(Otrace, CurrentScopeRoutesNotesAndRestores) {
 TEST(Otrace, OpScopeNestsOntoEnclosingTrace) {
   arm(1);
   {
-    aspen::telemetry::op_scope outer(aspen::telemetry::op_class::rma_put,
-                                     "outer", "test");
+    aspen::telemetry::op_scope outer(aspen::telemetry::op_class::rma_put);
     const std::uint64_t id = otrace::current();
     ASSERT_NE(id, 0u);  // sample_n == 1: always drawn
     {
       // A nested op (an rput issued from inside a sampled op's completion)
       // must NOT mint its own id — it stays on the enclosing chain.
-      aspen::telemetry::op_scope inner(aspen::telemetry::op_class::rma_get,
-                                       "inner", "test");
+      aspen::telemetry::op_scope inner(aspen::telemetry::op_class::rma_get);
       EXPECT_EQ(otrace::current(), id);
     }
     EXPECT_EQ(otrace::current(), id);

@@ -169,10 +169,10 @@ TEST(LatCodec, FieldSpaceCoversEveryStream) {
 
 TEST(LatRecording, HooksFollowBuildConfiguration) {
   const snapshot before = aspen::telemetry::aggregate();
-  aspen::telemetry::note_latency(lat_stream::wire_delivery, 4096);
-  aspen::telemetry::note_latency(lat_stream::wire_delivery, 5);
+  aspen::telemetry::note_latency(lat_stream::agg_batch_fill, 4096);
+  aspen::telemetry::note_latency(lat_stream::agg_batch_fill, 5);
   const snapshot d = aspen::telemetry::aggregate() - before;
-  const lat_hist& h = d.lat_of(lat_stream::wire_delivery);
+  const lat_hist& h = d.lat_of(lat_stream::agg_batch_fill);
   if (aspen::telemetry::compiled_in()) {
     EXPECT_EQ(h.total(), 2u);
     EXPECT_EQ(h.buckets[lat_bucket(4096)], 1u);

@@ -32,9 +32,9 @@ snapshot make_snapshot(std::uint64_t base) {
   amo_e.buckets[7] = base + 5;
   amo_e.buckets[63] = base;  // saturating top bucket survives the sidecar
   amo_e.max_ns = 1000 * base;
-  auto& wire = s.lat[static_cast<std::size_t>(lat_stream::wire_delivery)];
-  wire.buckets[12] = 3 * base;
-  wire.max_ns = 77 + base;
+  auto& fill = s.lat[static_cast<std::size_t>(lat_stream::agg_batch_fill)];
+  fill.buckets[12] = 3 * base;
+  fill.max_ns = 77 + base;
   return s;
 }
 
@@ -102,7 +102,7 @@ TEST(TelemetryMerge, MergeSumsCountersAndMaxesHighWaters) {
   EXPECT_EQ(amo_e.buckets[7], (3u + 5u) + (40u + 5u));
   EXPECT_EQ(amo_e.buckets[63], 43u);
   EXPECT_EQ(amo_e.max_ns, 40'000u);
-  EXPECT_EQ(m.lat[static_cast<std::size_t>(lat_stream::wire_delivery)].max_ns,
+  EXPECT_EQ(m.lat[static_cast<std::size_t>(lat_stream::agg_batch_fill)].max_ns,
             117u);
 }
 

@@ -39,7 +39,7 @@ TEST(TelemetryMt, StableAggregateIsMonotoneUnderWriters) {
       while (!stop.load(std::memory_order_relaxed)) {
         aspen::telemetry::count(counter::cx_eager_taken);
         aspen::telemetry::count(counter::am_sent, 2);
-        aspen::telemetry::note_latency(lat_stream::wire_delivery,
+        aspen::telemetry::note_latency(lat_stream::agg_batch_fill,
                                        (n % 4096) + 1);
         aspen::telemetry::note_latency(
             lat_stream::progress_gap,
@@ -76,8 +76,8 @@ TEST(TelemetryMt, StableAggregateIsMonotoneUnderWriters) {
                 start.get(counter::cx_eager_taken),
             n);
   EXPECT_EQ(end.get(counter::am_sent) - start.get(counter::am_sent), 2 * n);
-  EXPECT_EQ(end.lat_of(lat_stream::wire_delivery).total() -
-                start.lat_of(lat_stream::wire_delivery).total(),
+  EXPECT_EQ(end.lat_of(lat_stream::agg_batch_fill).total() -
+                start.lat_of(lat_stream::agg_batch_fill).total(),
             n);
 }
 
